@@ -1,273 +1,41 @@
 #include "mc/dpor.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
+#include <vector>
 
-#include "mc/independence.hpp"
-#include "util/arena.hpp"
-#include "util/thread_pool.hpp"
-#include "util/work_deque.hpp"
+#include "mc/harness.hpp"
 
-namespace rc11::mc {
+namespace rc11::mc::tree {
+
+/// The source-set policy: a node's scheduling state is the set of threads
+/// scheduled there; expanding an item runs every (awake) transition of
+/// one scheduled thread, and each race found on the way schedules one
+/// initial of its reversal at the racing node.
+struct SourceSets {
+  struct NodeState {
+    /// Threads scheduled at this node, in insertion order (guarded by mu).
+    std::vector<c11::ThreadId> scheduled;
+    void scrub() { scheduled.clear(); }
+  };
+
+  struct Item {
+    NodePtr<SourceSets> node;
+    c11::ThreadId thread = 0;  ///< the scheduled thread to expand
+  };
+
+  static void start(Engine<SourceSets>& eng, const NodePtr<SourceSets>& root,
+                    c11::ThreadId first);
+  static void incoming_row(Engine<SourceSets>& eng, std::size_t me,
+                           const NodePtr<SourceSets>& self,
+                           const StepSig& t_sig, std::vector<char>& row_out);
+  static void expand(Engine<SourceSets>& eng, std::size_t me, Item& item);
+};
 
 namespace {
 
-struct Engine;
-
-/// One node of the exploration tree. The spine (parent chain) is the trace
-/// E the node was reached by; scheduling state is guarded by `mu` because
-/// race reversals discovered in stolen subtrees insert backtrack points
-/// into ancestors owned by other workers. Nodes stay alive exactly while
-/// some in-flight descendant holds the spine's PoolRef chain — an
-/// insertion into a node whose owner finished it long ago simply enqueues
-/// a fresh work item for it. Nodes are arena-allocated and recycled
-/// through the engine pool (util/arena.hpp): the intrusive refcount
-/// replaces one shared_ptr control-block allocation per transition.
-struct Node {
-  std::atomic<std::uint32_t> refs{0};  ///< intrusive PoolRef count
-  Engine* eng = nullptr;               ///< owning pool, for dispose
-  util::PoolRef<Node> parent;
-  std::uint32_t depth = 0;
-  StepSig in_sig{};       ///< signature of the incoming step (depth > 0)
-  interp::Step in_step{};  ///< incoming step (depth > 0); trace entries are
-                           ///< rendered lazily (make_entry allocates)
-
-  interp::Config config;
-  /// All successors, by thread ascending. The RA hot path enumerates
-  /// signature-only steps (no Config copies; a child's configuration is
-  /// made by cloning this node's config — which carries its warm
-  /// incremental cache — and applying the step). The pre-execution mode
-  /// keeps the materialized pe_successors steps instead.
-  std::vector<interp::Step> steps;
-  std::vector<interp::ConfigStep> pe_steps;  ///< pre-execution mode only
-  std::vector<StepSig> sigs;              ///< sig per step
-  std::vector<c11::ThreadId> enabled;     ///< threads with >= 1 step
-
-  /// hb_row[i] = 1 iff spine event e_i happens-before this node's incoming
-  /// event e_depth (a chain of pairwise-dependent trace steps leads from i
-  /// to depth). Computed once when the incoming step executes
-  /// (mc/independence.hpp build_hb_row), so race detection only builds the
-  /// one new row per transition instead of the whole closure. Immutable
-  /// after construction.
-  std::vector<char> hb_row;
-
-  /// The spine passed through an already-seen configuration: transitions
-  /// from here re-explore a shared suffix (stats.redundant_transitions).
-  bool redundant = false;
-
-  std::mutex mu;  ///< guards `scheduled` and `executed`
-  /// Threads scheduled at this node, in insertion order.
-  std::vector<c11::ThreadId> scheduled;
-  /// Signatures of the steps already executed from this node, in execution
-  /// order (kSourceSetsSleep). The order is the sleep-set order: a
-  /// later-executed step's subtree may put an earlier-executed sibling
-  /// transition to sleep, never the reverse.
-  std::vector<StepSig> executed;
-  /// Transition signatures asleep on arrival (kSourceSetsSleep): their
-  /// executions from here are covered by an earlier sibling subtree.
-  /// Immutable after construction.
-  SleepSet sleep;
-};
-
-using NodePtr = util::PoolRef<Node>;
-
-/// PoolRef release hook (found by ADL from util::PoolRef<Node>).
-void pooled_dispose(Node* p);
-
-struct Item {
-  NodePtr node;
-  c11::ThreadId thread = 0;  ///< the scheduled thread to expand
-};
-
-bool contains(const std::vector<c11::ThreadId>& v, c11::ThreadId t) {
-  return std::find(v.begin(), v.end(), t) != v.end();
-}
-
-/// Per-worker reporting counters, merged into the result with
-/// ExploreStats::operator+= when the run finishes. Owner-written without
-/// synchronization (heartbeats may sample them; monitoring only), padded so
-/// neighbouring workers don't false-share.
-struct alignas(64) WorkerTotals {
-  ExploreStats stats;
-};
-
-struct Engine {
-  Engine(const ExploreOptions& opts, const Visitor& vis, std::size_t workers)
-      : options(opts),
-        visitor(vis),
-        sleep_filter(opts.por == PorMode::kSourceSetsSleep),
-        deques(workers),
-        worker_stats(workers),
-        totals(workers),
-        seen(workers) {}
-
-  /// Arena-backed node pool. A released node keeps the heap buffers of its
-  /// config / step / sleep vectors, so reusing one turns the per-transition
-  /// Config clone into a capacity-reusing copy-assignment (near zero
-  /// allocations once the pool is warm); the arena itself packs nodes
-  /// contiguously and frees them wholesale. Declared first so it outlives
-  /// the deques: items still queued at early-stop release their nodes into
-  /// the pool during ~Engine.
-  std::mutex pool_mu;
-  util::ArenaPool<Node> pool;
-
-  ExploreOptions options;
-  const Visitor& visitor;
-  bool sleep_filter;
-  util::WorkDeques<Item> deques;
-  std::vector<WorkerStats> worker_stats;
-  /// Pure-reporting counters live here, one slab per worker, written by the
-  /// owner only — no hot-path atomics. `states`, `transitions` and
-  /// `truncated` stay atomic: max_states control flow and heartbeat rates
-  /// need coherent cross-worker reads.
-  std::vector<WorkerTotals> totals;
-
-  AdaptiveSeenSet seen;  ///< unique-state accounting only (tree search)
-
-  std::atomic<std::size_t> pending{0};
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> states{0};
-  std::atomic<std::size_t> transitions{0};
-  std::atomic<bool> truncated{false};
-
-  std::mutex abort_mutex;
-  bool aborted = false;
-  Trace abort_trace;
-
-  void record_abort(Trace trace) {
-    {
-      std::lock_guard lock(abort_mutex);
-      if (!aborted) {
-        aborted = true;
-        abort_trace = std::move(trace);
-      }
-    }
-    stop.store(true, std::memory_order_release);
-  }
-};
-
-/// Takes a node from the pool (or arena-creates one) with an initial
-/// reference; the last PoolRef to die routes it through pooled_dispose.
-NodePtr acquire_node(Engine& eng) {
-  Node* p;
-  {
-    std::lock_guard lock(eng.pool_mu);
-    p = eng.pool.acquire();
-  }
-  p->eng = &eng;
-  p->refs.store(1, std::memory_order_relaxed);
-  return NodePtr::adopt(p);
-}
-
-/// Scrubs the scheduling state of a node whose last reference died and
-/// returns it to its engine's pool, buffers intact. The spine release runs
-/// *before* taking the pool lock: resetting `parent` may cascade disposal
-/// up the spine (bounded by depth), and each ancestor takes the lock for
-/// its own push.
-void pooled_dispose(Node* p) {
-  Engine& eng = *p->eng;
-  p->parent.reset();
-  p->depth = 0;
-  p->in_sig = {};
-  p->in_step = {};
-  p->steps.clear();
-  p->pe_steps.clear();
-  p->sigs.clear();
-  p->enabled.clear();
-  p->hb_row.clear();
-  p->redundant = false;
-  p->scheduled.clear();
-  p->executed.clear();
-  p->sleep.clear();
-  std::lock_guard lock(eng.pool_mu);
-  eng.pool.release(p);
-}
-
-/// Fills steps/sigs/enabled of a freshly built node. On the RA path this
-/// only enumerates signatures (reserve + reuse, no Config copies).
-void prepare_node(Node& n, const ExploreOptions& options) {
-  if (options.pre_execution) {
-    obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-    n.pe_steps = interp::pe_successors(
-        n.config, interp::value_domain(*n.config.program), options.step);
-    sigs_of(n.pe_steps, n.config.exec, n.sigs, n.config.has_sc_fence);
-  } else {
-    obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-    interp::enumerate_steps(n.config, options.step, n.steps);
-    sigs_of(n.steps, n.config.exec, n.sigs, n.config.has_sc_fence);
-  }
-  for (const auto& s : n.sigs) {
-    if (n.enabled.empty() || n.enabled.back() != s.thread) {
-      n.enabled.push_back(s.thread);  // steps are enumerated threads asc
-    }
-  }
-}
-
-/// The trace from the root to `n` (the path the spine encodes). Entries
-/// are rendered here, on the cold path — the hot path only records steps.
-Trace spine_trace(const Node* n) {
-  Trace t;
-  for (const Node* p = n; p->depth > 0; p = p->parent.get()) {
-    t.entries.push_back(make_entry(p->in_step));
-  }
-  std::reverse(t.entries.begin(), t.entries.end());
-  return t;
-}
-
-/// True iff thread q has at least one transition at n not slept on.
-bool has_awake_step(const Node& n, c11::ThreadId q) {
-  for (const StepSig& sig : n.sigs) {
-    if (sig.thread == q && !sleep_contains(n.sleep, sig)) return true;
-  }
-  return false;
-}
-
-/// First thread to schedule at a node: a thread whose every step is silent
-/// if one exists (silent steps are independent with everything, so the
-/// node will never receive a backtrack point — the branch-deferring
-/// "invisible transition first" heuristic; with tau compression these are
-/// only loop unfoldings), else the lowest-id enabled thread with an awake
-/// transition. Returns 0 when nothing is schedulable (a leaf, or a
-/// sleep-set-blocked node whose executions are covered elsewhere).
-c11::ThreadId pick_first(const Node& n) {
-  // One pass over the signatures (sorted by thread ascending), tracking
-  // per thread-group whether some step is awake and whether every step is
-  // silent — instead of rescanning all sigs once per enabled thread.
-  c11::ThreadId best = 0;
-  c11::ThreadId cur = 0;
-  bool cur_awake = false;
-  bool cur_all_silent = true;
-  const auto flush = [&]() -> c11::ThreadId {
-    if (cur != 0 && cur_awake) {
-      if (cur_all_silent) return cur;
-      if (best == 0) best = cur;
-    }
-    return 0;
-  };
-  for (const StepSig& sig : n.sigs) {
-    if (sig.thread != cur) {
-      if (const c11::ThreadId r = flush(); r != 0) return r;
-      cur = sig.thread;
-      cur_awake = false;
-      cur_all_silent = true;
-    }
-    if (!sig.silent) cur_all_silent = false;
-    if (!cur_awake && !sleep_contains(n.sleep, sig)) cur_awake = true;
-  }
-  if (const c11::ThreadId r = flush(); r != 0) return r;
-  return best;
-}
-
-void push_item(Engine& eng, std::size_t me, Item item) {
-  eng.pending.fetch_add(1, std::memory_order_acq_rel);
-  eng.deques.push_local(me, std::move(item));
-}
+using SNode = Node<SourceSets>;
+using SNodePtr = NodePtr<SourceSets>;
 
 /// Source-set backtrack insertion: unless some initial is already
 /// scheduled at `target`, schedule one — preferring a thread with an
@@ -275,7 +43,8 @@ void push_item(Engine& eng, std::size_t me, Item item) {
 /// reversal is covered by the sibling subtree that put it to sleep; the
 /// first initial is still marked scheduled so later races don't
 /// reconsider the node.
-void insert_backtrack(Engine& eng, std::size_t me, const NodePtr& target,
+void insert_backtrack(Engine<SourceSets>& eng, std::size_t me,
+                      const SNodePtr& target,
                       const std::vector<c11::ThreadId>& initials) {
   std::lock_guard lock(target->mu);
   for (c11::ThreadId q : initials) {
@@ -285,47 +54,42 @@ void insert_backtrack(Engine& eng, std::size_t me, const NodePtr& target,
     if (has_awake_step(*target, q)) {
       target->scheduled.push_back(q);
       ++eng.totals[me].stats.backtracks;
-      push_item(eng, me, Item{target, q});
+      eng.push(me, SourceSets::Item{target, q});
       return;
     }
   }
   target->scheduled.push_back(initials.front());
 }
 
-/// Detects every reversible race between the step about to be taken from
-/// `n` (signature `t_sig`) and the spine E, and inserts the source-set
-/// backtrack points. `self` is the shared_ptr of `n`. Fills `row_out` with
-/// t's happens-before row (hb_row for the child node the step creates), so
-/// each transition costs one O(depth^2) row build — the rows of the spine
-/// events are cached in their nodes.
-void race_reversals(Engine& eng, std::size_t me, const NodePtr& self,
-                    const StepSig& t_sig, std::vector<char>& row_out) {
-  Node& n = *self;
-  const std::size_t d = n.depth;
-  row_out.clear();
-  if (d == 0) return;
+}  // namespace
 
-  // nodes[k] = spine node at depth k; its in_sig is trace event e_k and
-  // its hb_row[i] says whether e_i happens-before e_k. (Thread-local
-  // scratch: one call per executed transition, keep it allocation-free.)
-  thread_local std::vector<Node*> nodes;
-  nodes.resize(d + 1);
-  {
-    Node* p = &n;
-    for (std::size_t k = d;; --k) {
-      nodes[k] = p;
-      if (k == 0) break;
-      p = p->parent.get();
-    }
-  }
+void SourceSets::start(Engine<SourceSets>& eng, const SNodePtr& root,
+                       c11::ThreadId first) {
+  root->scheduled.push_back(first);
+  eng.push(0, Item{root, first});
+}
+
+/// Detects every reversible race between the step about to be taken from
+/// `self` (signature `t_sig`) and the spine E, and inserts the source-set
+/// backtrack points, while building t's happens-before row (the child's
+/// hb_row): one O(depth^2) row per transition, the spine's rows cached in
+/// their nodes.
+void SourceSets::incoming_row(Engine<SourceSets>& eng, std::size_t me,
+                              const SNodePtr& self, const StepSig& t_sig,
+                              std::vector<char>& row_out) {
+  obs::ScopedPhase race_phase(obs::Phase::kRaceDetect);
+  // Thread-local scratch: one call per executed transition, keep it
+  // allocation-free.
+  thread_local std::vector<SNode*> nodes;
+  build_incoming_row(*self, t_sig, nodes, row_out);
+  const std::size_t d = self->depth;
+  if (d == 0) return;
   const auto sig_at = [&](std::size_t k) -> const StepSig& {
     return nodes[k]->in_sig;
   };
   const auto row_at = [&](std::size_t k) -> const std::vector<char>& {
     return nodes[k]->hb_row;
   };
-
-  build_hb_row(d, t_sig, sig_at, row_out);
 
   for_each_reversible_race(
       d, t_sig, sig_at, row_at, row_out, [&](std::size_t i) {
@@ -350,20 +114,19 @@ void race_reversals(Engine& eng, std::size_t me, const NodePtr& self,
 }
 
 /// Expands one scheduled (node, thread) pair: runs every enabled
-/// transition of the thread, detecting races, accounting unique states,
-/// and scheduling each child's first thread.
-void expand_item(Engine& eng, std::size_t me, const Item& item) {
-  Node& n = *item.node;
-  ++eng.worker_stats[me].processed;
+/// transition of the thread (awake ones only under kSourceSetsSleep) and
+/// schedules each child's first thread.
+void SourceSets::expand(Engine<SourceSets>& eng, std::size_t me, Item& item) {
+  SNode& n = *item.node;
   ExploreStats& my = eng.totals[me].stats;
-  const bool pe = eng.options.pre_execution;
+  const bool sleep_filter = eng.options.por == PorMode::kSourceSetsSleep;
 
   for (std::size_t i = 0; i < n.sigs.size(); ++i) {
     if (n.sigs[i].thread != item.thread) continue;
     if (eng.stop.load(std::memory_order_acquire)) return;
 
     const StepSig& sig = n.sigs[i];
-    if (eng.sleep_filter && sleep_contains(n.sleep, sig)) {
+    if (sleep_filter && sleep_contains(n.sleep, sig)) {
       continue;  // covered by an earlier sibling subtree (counted below)
     }
 
@@ -372,136 +135,22 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
     // snapshot-and-append is one critical section so concurrent executors
     // at the same node order themselves consistently.
     SleepSet prefix;
-    if (eng.sleep_filter) {
+    if (sleep_filter) {
       std::lock_guard lock(n.mu);
       prefix.assign(n.executed.begin(), n.executed.end());
       n.executed.push_back(sig);
     }
 
-    eng.transitions.fetch_add(1, std::memory_order_relaxed);
-    if (n.redundant) ++my.redundant_transitions;
+    SNodePtr child = acquire_node(eng);
+    if (!materialize_child(eng, me, item.node, i, *child)) return;
 
-    // Materialize the child configuration into a pooled node: copy-assign
-    // the parent's config (reusing the recycled node's buffers, warm
-    // incremental cache included) and apply the step in place — the only
-    // Config copy this transition costs. Pre-execution steps come
-    // materialized from pe_successors (each is executed exactly once, so
-    // its successor config can be moved out).
-    NodePtr child = acquire_node(eng);
-    interp::Step in_step;
-    if (pe) {
-      const interp::ConfigStep& ps = n.pe_steps[i];
-      in_step.thread = ps.thread;
-      in_step.silent = ps.silent;
-      in_step.loop_unfold = ps.loop_unfold;
-      in_step.action = ps.action;
-      in_step.observed = ps.observed;
-      child->config = std::move(n.pe_steps[i].next);
-    } else {
-      obs::ScopedPhase apply_phase(obs::Phase::kApply);
-      in_step = n.steps[i];
-      child->config = n.config;
-      // Apply-only: the child keeps this configuration; no undo needed.
-      (void)interp::apply_step(child->config, n.steps[i], eng.options.step);
-    }
-    interp::Config& child_config = child->config;
-
-    if (eng.visitor.on_transition) {
-      // The visitor contract hands over a materialized ConfigStep; build a
-      // view around the child configuration (moved in and back out, no
-      // copy).
-      interp::ConfigStep view;
-      view.thread = sig.thread;
-      view.silent = sig.silent;
-      if (!sig.silent) {
-        view.event = static_cast<c11::EventId>(child_config.exec.size() - 1);
-        view.observed = in_step.observed;  // frame tag (sig is canonical)
-        view.action = child_config.exec.event(view.event).action;
-      }
-      view.loop_unfold = in_step.loop_unfold;
-      view.next = std::move(child_config);
-      const bool keep = eng.visitor.on_transition(n.config, view);
-      child_config = std::move(view.next);
-      if (!keep) {
-        Trace t = spine_trace(&n);
-        t.entries.push_back(make_entry(in_step));
-        eng.record_abort(std::move(t));
-        return;
-      }
-    }
-
-    {
-      obs::ScopedPhase race_phase(obs::Phase::kRaceDetect);
-      race_reversals(eng, me, item.node, sig, child->hb_row);
-    }
-
-    child->parent = item.node;
-    child->depth = n.depth + 1;
-    child->in_sig = sig;
-    child->in_step = in_step;
-    my.max_depth = std::max<std::size_t>(my.max_depth, child->depth + 1);
-
-    InsertResult ins;
-    {
-      obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-      ins = eng.seen.insert(child->config.fingerprint());
-    }
-    child->redundant = n.redundant || !ins.inserted;
-    if (child->config.terminated()) ++my.complete_traces;
-    if (ins.inserted) {
-      const std::size_t states =
-          eng.states.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (states >= eng.options.max_states) {
-        eng.truncated.store(true);
-        eng.stop.store(true);
-        return;
-      }
-      if (eng.visitor.on_state && !eng.visitor.on_state(child->config)) {
-        eng.record_abort(spine_trace(child.get()));
-        return;
-      }
-      if (child->config.terminated()) {
-        ++my.finals;
-        if (eng.visitor.on_final && !eng.visitor.on_final(child->config)) {
-          eng.record_abort(spine_trace(child.get()));
-          return;
-        }
-      }
-    } else {
-      ++my.merged;
-      ++eng.worker_stats[me].merged;
-    }
-
-    prepare_node(*child, eng.options);
-
-    if (eng.sleep_filter) {
-      // Godefroid's sleep rule at transition granularity: a sibling
-      // transition stays asleep in the child iff it commutes with the
-      // taken step — inherited sleep plus the earlier-executed siblings.
-      child->sleep.reserve(n.sleep.size() + prefix.size());
-      for (const StepSig& s : n.sleep) {
-        if (independent(s, sig)) child->sleep.push_back(s);
-      }
-      for (const StepSig& s : prefix) {
-        if (independent(s, sig)) child->sleep.push_back(s);
-      }
-      std::sort(child->sleep.begin(), child->sleep.end());
-      child->sleep.erase(
-          std::unique(child->sleep.begin(), child->sleep.end()),
-          child->sleep.end());
-      // The child's transitions already covered elsewhere are what the
-      // sleep filter refuses to run (whether or not their thread ever
-      // gets scheduled there).
-      std::size_t pruned = 0;
-      for (const StepSig& s : child->sigs) {
-        if (sleep_contains(child->sleep, s)) ++pruned;
-      }
-      my.por_pruned += pruned;
+    if (sleep_filter) {
+      const std::size_t pruned = inherit_sleep(n, *child, prefix, my);
       if (!child->sigs.empty() && pruned == child->sigs.size()) {
         // Every enabled transition is asleep: the execution dies here and
         // its prefix was wasted — the stateless-DPOR redundancy the
-        // optimal wakeup-tree engine (optimal.hpp) eliminates.
-        ++my.sleep_blocked;
+        // optimal wakeup-tree policy (optimal.hpp) eliminates.
+        bump(my.sleep_blocked);
       }
     }
 
@@ -511,171 +160,29 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
         std::lock_guard lock(child->mu);
         child->scheduled.push_back(first);
       }
-      ++eng.worker_stats[me].enqueued;
-      push_item(eng, me, Item{std::move(child), first});
+      bump(eng.worker_stats[me].enqueued);
+      eng.push(me, Item{std::move(child), first});
     }
   }
 }
 
-/// Adds this thread's step-enumeration counter movement since `base` to
-/// worker `me`'s slabs — both the per-worker WorkerStats attribution (the
-/// split survives steal handoffs; engine totals are the sum over workers)
-/// and the reporting totals merged into ExploreStats at finish.
-void flush_enum_counters(Engine& eng, std::size_t me,
-                         const interp::StepEnumCounters& base) {
-  const interp::StepEnumCounters& ec = interp::step_enum_counters();
-  eng.worker_stats[me].enum_reused += ec.reused - base.reused;
-  eng.worker_stats[me].enum_recomputed += ec.recomputed - base.recomputed;
-  eng.totals[me].stats.enum_threads_reused += ec.reused - base.reused;
-  eng.totals[me].stats.enum_threads_recomputed +=
-      ec.recomputed - base.recomputed;
-}
+template ExploreResult run<SourceSets>(const interp::Config&,
+                                       const ExploreOptions&, const Visitor&,
+                                       std::size_t, std::vector<WorkerStats>*);
 
-/// Progress heartbeat: the winning worker samples the engine counters. The
-/// per-worker slabs are owner-written plain fields; sampling them here is
-/// unsynchronized by design (monitoring only, no control flow depends on
-/// the values).
-void emit_heartbeat(Engine& eng) {
-  obs::ProgressSnapshot snap;
-  snap.states = eng.states.load(std::memory_order_relaxed);
-  snap.transitions = eng.transitions.load(std::memory_order_relaxed);
-  snap.frontier = eng.pending.load(std::memory_order_relaxed);
-  snap.seen_bytes = eng.seen.bytes();
-  for (const WorkerTotals& w : eng.totals) {
-    snap.finals += w.stats.finals;
-    snap.sleep_blocked += w.stats.sleep_blocked;
-    snap.redundant += w.stats.redundant_transitions;
-    snap.max_depth = std::max(snap.max_depth, w.stats.max_depth);
-  }
-  snap.workers.reserve(eng.worker_stats.size());
-  for (const WorkerStats& ws : eng.worker_stats) {
-    snap.workers.push_back({ws.processed, ws.enqueued, ws.steals, ws.merged});
-  }
-  eng.options.telemetry->emit(std::move(snap));
-}
+}  // namespace rc11::mc::tree
 
-void worker_loop_impl(Engine& eng, std::size_t me) {
-  constexpr int kYieldRounds = 64;
-  int idle_rounds = 0;
-  while (true) {
-    if (eng.stop.load(std::memory_order_acquire)) return;
-    std::optional<Item> item = eng.deques.pop_local(me);
-    if (!item && eng.deques.worker_count() > 1) {
-      item = eng.deques.steal(me);
-      if (item) {
-        ++eng.worker_stats[me].steals;
-        obs::instant_event("steal");
-      }
-    }
-    if (!item) {
-      if (eng.pending.load(std::memory_order_acquire) == 0) return;
-      // Sequential: nothing can appear while we hold the only deque.
-      if (eng.deques.worker_count() == 1) return;
-      if (++idle_rounds <= kYieldRounds) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      continue;
-    }
-    idle_rounds = 0;
-    expand_item(eng, me, *item);
-    eng.pending.fetch_sub(1, std::memory_order_acq_rel);
-    if (eng.options.telemetry != nullptr &&
-        eng.options.telemetry->heartbeat_due()) {
-      emit_heartbeat(eng);
-    }
-  }
-}
+namespace rc11::mc {
 
-void worker_loop(Engine& eng, std::size_t me) {
-  obs::WorkerScope obs_scope(eng.options.telemetry,
-                             static_cast<std::uint32_t>(me));
-  const interp::StepEnumCounters enum_base = interp::step_enum_counters();
-  worker_loop_impl(eng, me);
-  flush_enum_counters(eng, me, enum_base);
-}
-
-}  // namespace
-
-ExploreResult explore_dpor(const interp::Config& start,
+ExploreResult explore_tree(const interp::Config& start,
                            const ExploreOptions& options,
                            const Visitor& visitor, std::size_t workers,
                            std::vector<WorkerStats>* worker_stats) {
-  if (workers == 0) workers = 1;
-  Engine eng(options, visitor, workers);
-  // Scheduling points are visible (memory) steps only: deterministic
-  // silent/register steps never branch the search and are fused into the
-  // preceding transition (loop unfoldings stay visible — they are bounded
-  // and must branch). Invisible transitions are never scheduling points in
-  // DPOR; this is what makes the reduction bite on register-heavy litmus
-  // programs. Returned traces therefore replay under tau_compress = true.
-  eng.options.step.tau_compress = true;
-
-  obs::PhaseProfile profile_base;
-  if (options.telemetry != nullptr) profile_base = options.telemetry->profile();
-
-  auto finish = [&](bool root_aborted = false) {
-    ExploreResult res;
-    // Per-worker reporting slabs merge via ExploreStats::operator+=; the
-    // shared/atomic pieces are set once on the merged result afterwards.
-    for (const WorkerTotals& w : eng.totals) res.stats += w.stats;
-    res.stats.states = eng.states.load();
-    res.stats.transitions = eng.transitions.load();
-    res.stats.truncated = eng.truncated.load();
-    res.stats.peak_seen_bytes = eng.seen.bytes();
-    {
-      std::lock_guard lock(eng.abort_mutex);
-      res.aborted = eng.aborted || root_aborted;
-      res.abort_trace = std::move(eng.abort_trace);
-    }
-    if (worker_stats != nullptr) *worker_stats = eng.worker_stats;
-    if (options.telemetry != nullptr) {
-      res.phases = options.telemetry->profile() - profile_base;
-    }
-    return res;
-  };
-
-  NodePtr root = acquire_node(eng);
-  root->config = start;
-  eng.totals[0].stats.max_depth = 1;
-  {
-    // Root preparation runs on the calling thread, before any worker
-    // snapshots its own counter base (and under its own telemetry scope,
-    // released before the workers attach theirs).
-    obs::WorkerScope obs_scope(options.telemetry, 0);
-    (void)eng.seen.insert(root->config.fingerprint());
-    eng.states.store(1);
-    if (visitor.on_state && !visitor.on_state(root->config)) {
-      return finish(/*root_aborted=*/true);
-    }
-    if (root->config.terminated()) {
-      eng.totals[0].stats.finals = 1;
-      eng.totals[0].stats.complete_traces = 1;
-      if (visitor.on_final && !visitor.on_final(root->config)) {
-        return finish(/*root_aborted=*/true);
-      }
-    }
-    const interp::StepEnumCounters enum_base = interp::step_enum_counters();
-    prepare_node(*root, eng.options);
-    flush_enum_counters(eng, 0, enum_base);
-  }
-  const c11::ThreadId first = pick_first(*root);
-  if (first != 0) {
-    root->scheduled.push_back(first);
-    push_item(eng, 0, Item{root, first});
-  }
-
-  if (workers == 1) {
-    worker_loop(eng, 0);
-  } else {
-    util::ThreadPool pool(workers);
-    for (std::size_t k = 0; k < workers; ++k) {
-      pool.submit([&eng, k] { worker_loop(eng, k); });
-    }
-    pool.wait_idle();
-  }
-  return finish();
+  return is_optimal_dpor(options.por)
+             ? tree::run<tree::Optimal>(start, options, visitor, workers,
+                                        worker_stats)
+             : tree::run<tree::SourceSets>(start, options, visitor, workers,
+                                           worker_stats);
 }
 
 }  // namespace rc11::mc

@@ -6,11 +6,25 @@
 
 #include "mc/dpor.hpp"
 #include "mc/independence.hpp"
-#include "mc/optimal.hpp"
 
 namespace rc11::mc {
 
 namespace {
+
+/// Progress heartbeat of the sequential explorers. Callers test
+/// heartbeat_due() inline, so a visited state costs one branch.
+void emit_heartbeat(const ExploreOptions& options, const ExploreStats& stats,
+                    std::size_t frontier, const SeenSet& seen) {
+  obs::ProgressSnapshot snap;
+  snap.states = stats.states;
+  snap.transitions = stats.transitions;
+  snap.finals = stats.finals;
+  snap.max_depth = stats.max_depth;
+  snap.frontier = frontier;
+  snap.seen_bytes = options.dedup ? seen.bytes() : 0;
+  snap.sleep_blocked = stats.sleep_blocked;
+  options.telemetry->emit(std::move(snap));
+}
 
 // ===========================================================================
 // Materialized DFS (from-scratch oracle path).
@@ -68,15 +82,7 @@ ExploreResult explore_materialized(const interp::Config& start,
   auto visit_state = [&](const interp::Config& c) -> bool {
     ++result.stats.states;
     if (options.telemetry != nullptr && options.telemetry->heartbeat_due()) {
-      obs::ProgressSnapshot snap;
-      snap.states = result.stats.states;
-      snap.transitions = result.stats.transitions;
-      snap.finals = result.stats.finals;
-      snap.max_depth = result.stats.max_depth;
-      snap.frontier = stack.size();
-      snap.seen_bytes = options.dedup ? seen.bytes() : 0;
-      snap.sleep_blocked = result.stats.sleep_blocked;
-      options.telemetry->emit(std::move(snap));
+      emit_heartbeat(options, result.stats, stack.size(), seen);
     }
     if (visitor.on_state && !visitor.on_state(c)) return false;
     if (c.terminated()) {
@@ -257,15 +263,7 @@ ExploreResult explore_incremental(const interp::Config& start,
   auto visit_state = [&](const interp::Config& c) -> bool {
     ++result.stats.states;
     if (options.telemetry != nullptr && options.telemetry->heartbeat_due()) {
-      obs::ProgressSnapshot snap;
-      snap.states = result.stats.states;
-      snap.transitions = result.stats.transitions;
-      snap.finals = result.stats.finals;
-      snap.max_depth = result.stats.max_depth;
-      snap.frontier = depth + 1;
-      snap.seen_bytes = options.dedup ? seen.bytes() : 0;
-      snap.sleep_blocked = result.stats.sleep_blocked;
-      options.telemetry->emit(std::move(snap));
+      emit_heartbeat(options, result.stats, depth + 1, seen);
     }
     if (visitor.on_state && !visitor.on_state(c)) return false;
     if (c.terminated()) {
@@ -442,14 +440,8 @@ std::optional<PorMode> por_mode_from_name(std::string_view name) {
 ExploreResult explore_from(const interp::Config& start,
                            const ExploreOptions& options,
                            const Visitor& visitor) {
-  // The DPOR modes run tree-shaped with their own engines (dpor.cpp for
-  // the stateless source-set family, optimal.cpp for wakeup trees).
-  if (is_optimal_dpor(options.por)) {
-    return explore_optimal(start, options, visitor, /*workers=*/1);
-  }
-  if (is_dpor(options.por)) {
-    return explore_dpor(start, options, visitor, /*workers=*/1);
-  }
+  // The DPOR modes run on the tree-engine harness (dpor.hpp).
+  if (is_dpor(options.por)) return explore_tree(start, options, visitor);
   // on_transition contracts a materialized ConfigStep per transition, and
   // the pre-execution semantics enumerates through pe_successors; both go
   // through the copying oracle path. Everything else runs on the

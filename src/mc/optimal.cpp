@@ -2,309 +2,90 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <chrono>
-#include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
+#include <vector>
 
 #include "lang/command.hpp"
-#include "mc/independence.hpp"
+#include "mc/harness.hpp"
 #include "mc/wakeup.hpp"
-#include "util/arena.hpp"
-#include "util/thread_pool.hpp"
-#include "util/work_deque.hpp"
 
-namespace rc11::mc {
+namespace rc11::mc::tree {
+
+/// The optimal policy: on top of the harness's node state, a node owns its
+/// *wakeup tree* — the ordered tree of continuations race reversals have
+/// inserted at it. `ready`, `pending_grafts`, `claimed` and `wut` are
+/// guarded by the node mutex and shared with stealing workers; `doomed` is
+/// set before the node is published. `gen` backs the claimant registry's
+/// weak handles: scrub bumps it, so a PoolWeakRef to a recycled node
+/// expires instead of resurrecting whoever reused the slot.
+struct Optimal {
+  struct NodeState {
+    std::atomic<std::uint64_t> gen{0};  ///< recycling generation
+    /// Set once the node is fully initialized and scheduled by its
+    /// creating execute_step. A node becomes visible to other workers
+    /// through the parent's claimant registry *before* that point, so a
+    /// graft arriving early is stashed in pending_grafts and drained by
+    /// the owner when it publishes readiness — inserting directly would
+    /// race with the owner's lock-free initialization of config/sleep/wut.
+    bool ready = false;
+    std::vector<WakeupSequence> pending_grafts;
+    /// The exploration child each executed step created, parallel to
+    /// `executed`. Weak: registering a child must not extend its lifetime
+    /// (the engine frees subtrees as their items drain). Used to *graft* a
+    /// branch's prescribed continuation into the child that claimed its
+    /// first step — demand re-targeting: free expansion, sibling-instance
+    /// branching and prescribed branches race on the shared node, so a
+    /// branch can find its first step already executed.
+    std::vector<util::PoolWeakRef<Node<Optimal>>> claimed;
+    /// Some thread is permanently stuck here (see has_doomed_thread):
+    /// no final state exists below. Set once at creation; a doomed node
+    /// still executes its prescribed wakeup branches (their dead prefixes
+    /// carry race-reversal demands) but never opens new sibling classes.
+    bool doomed = false;
+    /// Wakeup tree: pending branches to execute plus taken markers for the
+    /// branches already handed to children (subsumption targets).
+    WakeupTree wut;
+
+    /// The generation bump comes first (release): once a weak claimant
+    /// handle can observe the node on the free list, it must already see
+    /// the new generation and refuse to lock.
+    void scrub() {
+      gen.fetch_add(1, std::memory_order_release);
+      ready = false;
+      pending_grafts.clear();
+      claimed.clear();
+      doomed = false;
+      wut.clear();
+    }
+  };
+
+  struct Item {
+    NodePtr<Optimal> node;
+    /// Pending wakeup branch to execute — a stable index into node->wut;
+    /// kNil for a free-scheduling item.
+    WakeupTree::NodeId branch = WakeupTree::kNil;
+    c11::ThreadId thread = 0;  ///< free items: the thread to expand
+  };
+
+  static void start(Engine<Optimal>& eng, const NodePtr<Optimal>& root,
+                    c11::ThreadId first);
+  static void incoming_row(Engine<Optimal>& eng, std::size_t me,
+                           const NodePtr<Optimal>& self, const StepSig& t_sig,
+                           std::vector<char>& row_out);
+  static void expand(Engine<Optimal>& eng, std::size_t me, Item& item);
+};
 
 namespace {
 
-struct Engine;
-
-/// One node of the exploration tree (see dpor.cpp for the spine / pooling
-/// discipline, which is identical: arena-allocated, intrusively
-/// ref-counted, recycled through the engine pool). On top of the
-/// source-set engine's per-node scheduling state, a node owns its *wakeup
-/// tree*: the ordered tree of continuations race reversals have inserted
-/// at it. Everything behind `mu` (executed prefix + wakeup tree) is
-/// shared with stealing workers. `gen` backs the claimant registry's weak
-/// handles: pooled_dispose bumps it, so a PoolWeakRef to a recycled node
-/// expires instead of resurrecting whoever reused the slot.
-struct Node {
-  std::atomic<std::uint32_t> refs{0};  ///< intrusive PoolRef count
-  std::atomic<std::uint64_t> gen{0};   ///< recycling generation
-  Engine* eng = nullptr;               ///< owning pool, for dispose
-  util::PoolRef<Node> parent;
-  std::uint32_t depth = 0;
-  StepSig in_sig{};        ///< signature of the incoming step (depth > 0)
-  interp::Step in_step{};  ///< incoming step (depth > 0)
-
-  interp::Config config;
-  std::vector<interp::Step> steps;
-  std::vector<interp::ConfigStep> pe_steps;  ///< pre-execution mode only
-  std::vector<StepSig> sigs;                 ///< sig per step
-  std::vector<c11::ThreadId> enabled;        ///< threads with >= 1 step
-
-  /// hb_row[i] = 1 iff spine event e_i happens-before this node's incoming
-  /// event (mc/independence.hpp build_hb_row). Immutable once built.
-  std::vector<char> hb_row;
-
-  /// The spine passed through an already-seen configuration: transitions
-  /// from here re-explore a shared suffix (stats.redundant_transitions).
-  bool redundant = false;
-
-  std::mutex mu;  ///< guards `executed`, `claimed`, `wut`, `ready` and
-                  ///< `pending_grafts`
-  /// Set (under mu) once the node is fully initialized and scheduled by
-  /// its creating execute_step. A node becomes visible to other workers
-  /// through the parent's claimant registry *before* that point, so a
-  /// graft arriving early is stashed in pending_grafts and drained by
-  /// the owner when it publishes readiness — inserting directly would
-  /// race with the owner's lock-free initialization of config/sleep/wut.
-  bool ready = false;
-  std::vector<WakeupSequence> pending_grafts;
-  /// Signatures of the steps already executed from this node, in
-  /// execution order (the sleep-set order).
-  std::vector<StepSig> executed;
-  /// The exploration child each executed step created, parallel to
-  /// `executed`. Weak: registering a child must not extend its lifetime
-  /// (the engine frees subtrees as their items drain). Used to *graft* a
-  /// branch's prescribed continuation into the child that claimed its
-  /// first step — demand re-targeting: free expansion, sibling-instance
-  /// branching and prescribed branches race on the shared node, so a
-  /// branch can find its first step already executed.
-  std::vector<util::PoolWeakRef<Node>> claimed;
-  /// Transition signatures asleep on arrival. Immutable after
-  /// construction.
-  SleepSet sleep;
-  /// Some thread is permanently stuck here (see has_doomed_thread):
-  /// no final state exists below. Set once at creation; a doomed node
-  /// still executes its prescribed wakeup branches (their dead prefixes
-  /// carry race-reversal demands) but never opens new sibling classes.
-  bool doomed = false;
-  /// Wakeup tree: pending branches to execute plus taken markers for the
-  /// branches already handed to children (subsumption targets).
-  WakeupTree wut;
-};
-
-using NodePtr = util::PoolRef<Node>;
-
-/// PoolRef release hook (found by ADL from util::PoolRef<Node>).
-void pooled_dispose(Node* p);
-
-struct Item {
-  NodePtr node;
-  /// Pending wakeup branch to execute — a stable index into node->wut;
-  /// kNil for a free-scheduling item.
-  WakeupTree::NodeId branch = WakeupTree::kNil;
-  c11::ThreadId thread = 0;  ///< free items: the thread to expand
-};
-
-bool contains(const std::vector<StepSig>& v, const StepSig& s) {
-  return std::find(v.begin(), v.end(), s) != v.end();
-}
-
-/// Per-worker reporting counters, merged into the result with
-/// ExploreStats::operator+= when the run finishes. Owner-written without
-/// synchronization (heartbeats may sample them; monitoring only), padded so
-/// neighbouring workers don't false-share.
-struct alignas(64) WorkerTotals {
-  ExploreStats stats;
-};
-
-struct Engine {
-  Engine(const ExploreOptions& opts, const Visitor& vis, std::size_t workers)
-      : options(opts),
-        visitor(vis),
-        parsimonious(opts.por == PorMode::kOptimalParsimonious),
-        debug(std::getenv("RC11_DEBUG_WAKEUP") != nullptr),
-        deques(workers),
-        worker_stats(workers),
-        totals(workers),
-        seen(workers) {}
-
-  /// Arena-backed node pool, as in dpor.cpp (declared first so it
-  /// outlives the deques).
-  std::mutex pool_mu;
-  util::ArenaPool<Node> pool;
-
-  ExploreOptions options;
-  const Visitor& visitor;
-  bool parsimonious;
-  bool debug;  ///< RC11_DEBUG_WAKEUP: trace executions and insertions
-  util::WorkDeques<Item> deques;
-  std::vector<WorkerStats> worker_stats;
-  /// Pure-reporting counters live here, one slab per worker, written by the
-  /// owner only — no hot-path atomics. `states`, `transitions` and
-  /// `truncated` stay atomic: max_states control flow and heartbeat rates
-  /// need coherent cross-worker reads.
-  std::vector<WorkerTotals> totals;
-
-  AdaptiveSeenSet seen;  ///< unique-state accounting only (tree search)
-
-  std::atomic<std::size_t> pending{0};
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> states{0};
-  std::atomic<std::size_t> transitions{0};
-  std::atomic<bool> truncated{false};
-
-  std::mutex abort_mutex;
-  bool aborted = false;
-  Trace abort_trace;
-
-  void record_abort(Trace trace) {
-    {
-      std::lock_guard lock(abort_mutex);
-      if (!aborted) {
-        aborted = true;
-        abort_trace = std::move(trace);
-      }
-    }
-    stop.store(true, std::memory_order_release);
-  }
-};
-
-NodePtr acquire_node(Engine& eng) {
-  Node* p;
-  {
-    std::lock_guard lock(eng.pool_mu);
-    p = eng.pool.acquire();
-  }
-  p->eng = &eng;
-  p->refs.store(1, std::memory_order_relaxed);
-  return NodePtr::adopt(p);
-}
-
-/// Scrubs a node whose last reference died and recycles it. The
-/// generation bump comes first (with release ordering): once a weak
-/// claimant handle can observe the node on the free list, it must already
-/// see the new generation and refuse to lock. The spine release cascades
-/// outside the pool lock, exactly as in dpor.cpp.
-void pooled_dispose(Node* p) {
-  Engine& eng = *p->eng;
-  p->gen.fetch_add(1, std::memory_order_release);
-  p->parent.reset();
-  p->depth = 0;
-  p->in_sig = {};
-  p->in_step = {};
-  p->steps.clear();
-  p->pe_steps.clear();
-  p->sigs.clear();
-  p->enabled.clear();
-  p->hb_row.clear();
-  p->redundant = false;
-  p->executed.clear();
-  p->claimed.clear();
-  p->sleep.clear();
-  p->doomed = false;
-  p->wut.clear();
-  p->ready = false;
-  p->pending_grafts.clear();
-  std::lock_guard lock(eng.pool_mu);
-  eng.pool.release(p);
-}
-
-void prepare_node(Node& n, const ExploreOptions& options) {
-  obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-  if (options.pre_execution) {
-    n.pe_steps = interp::pe_successors(
-        n.config, interp::value_domain(*n.config.program), options.step);
-    sigs_of(n.pe_steps, n.config.exec, n.sigs, n.config.has_sc_fence);
-  } else {
-    interp::enumerate_steps(n.config, options.step, n.steps);
-    sigs_of(n.steps, n.config.exec, n.sigs, n.config.has_sc_fence);
-  }
-  for (const auto& s : n.sigs) {
-    if (n.enabled.empty() || n.enabled.back() != s.thread) {
-      n.enabled.push_back(s.thread);  // steps are enumerated threads asc
-    }
-  }
-}
-
-Trace spine_trace(const Node* n) {
-  Trace t;
-  for (const Node* p = n; p->depth > 0; p = p->parent.get()) {
-    t.entries.push_back(make_entry(p->in_step));
-  }
-  std::reverse(t.entries.begin(), t.entries.end());
-  return t;
-}
-
-bool has_awake_step(const Node& n, c11::ThreadId q) {
-  for (const StepSig& sig : n.sigs) {
-    if (sig.thread == q && !sleep_contains(n.sleep, sig)) return true;
-  }
-  return false;
-}
-
-/// Free-scheduling thread choice, identical to the source-set engine's:
-/// an all-silent thread first (its node never receives a reversal), else
-/// the lowest-id enabled thread with an awake transition; 0 when nothing
-/// is schedulable.
-c11::ThreadId pick_first(const Node& n) {
-  // One pass over the signatures (sorted by thread ascending), as in
-  // dpor.cpp.
-  c11::ThreadId best = 0;
-  c11::ThreadId cur = 0;
-  bool cur_awake = false;
-  bool cur_all_silent = true;
-  const auto flush = [&]() -> c11::ThreadId {
-    if (cur != 0 && cur_awake) {
-      if (cur_all_silent) return cur;
-      if (best == 0) best = cur;
-    }
-    return 0;
-  };
-  for (const StepSig& sig : n.sigs) {
-    if (sig.thread != cur) {
-      if (const c11::ThreadId r = flush(); r != 0) return r;
-      cur = sig.thread;
-      cur_awake = false;
-      cur_all_silent = true;
-    }
-    if (!sig.silent) cur_all_silent = false;
-    if (!cur_awake && !sleep_contains(n.sleep, sig)) cur_awake = true;
-  }
-  if (const c11::ThreadId r = flush(); r != 0) return r;
-  return best;
-}
-
-void push_item(Engine& eng, std::size_t me, Item item) {
-  eng.pending.fetch_add(1, std::memory_order_acq_rel);
-  eng.deques.push_local(me, std::move(item));
-}
-
-/// Builds the happens-before row of the step about to be taken from
-/// `self` (the child node's hb_row; mc/independence.hpp).
-void build_incoming_row(const NodePtr& self, const StepSig& t_sig,
-                        std::vector<char>& row_out) {
-  Node& n = *self;
-  const std::size_t d = n.depth;
-  row_out.clear();
-  if (d == 0) return;
-  thread_local std::vector<Node*> nodes;
-  nodes.resize(d + 1);
-  {
-    Node* p = &n;
-    for (std::size_t k = d;; --k) {
-      nodes[k] = p;
-      if (k == 0) break;
-      p = p->parent.get();
-    }
-  }
-  build_hb_row(
-      d, t_sig, [&](std::size_t k) -> const StepSig& {
-        return nodes[k]->in_sig;
-      },
-      row_out);
-}
+using Eng = Engine<Optimal>;
+using ONode = Node<Optimal>;
+using ONodePtr = NodePtr<Optimal>;
+using OItem = Optimal::Item;
 
 /// insert_sequence with target->mu already held and target ready.
-bool insert_sequence_locked(Engine& eng, std::size_t me,
-                            const NodePtr& target, const WakeupSequence& v) {
+bool insert_sequence_locked(Eng& eng, std::size_t me, const ONodePtr& target,
+                            const WakeupSequence& v) {
   obs::ScopedPhase insert_phase(obs::Phase::kWakeupInsert);
   thread_local std::vector<std::size_t> wi;
   weak_initials(v, wi);
@@ -317,24 +98,10 @@ bool insert_sequence_locked(Engine& eng, std::size_t me,
 
   WakeupTree::NodeId branch = WakeupTree::kNil;
   const WakeupTree::Insert ins = target->wut.insert(v, &branch);
-  if (eng.debug) {
-    std::fprintf(stderr, "insert -> n=%p depth %u: |v|=%zu res=%d; v:",
-                 static_cast<void*>(target.get()), target->depth, v.size(),
-                 static_cast<int>(ins));
-    for (const auto& ws : v) {
-      std::fprintf(stderr, " [t%u %s k=%d var=%u obs=(%u,%d)%s]",
-                   ws.sig.thread, ws.sig.silent ? "tau" : "mem",
-                   static_cast<int>(ws.sig.kind), ws.sig.var,
-                   ws.sig.observed.thread,
-                   static_cast<int>(ws.sig.observed.index),
-                   ws.speculative ? " ?" : "");
-    }
-    std::fprintf(stderr, "\n");
-  }
   if (ins == WakeupTree::Insert::kSubsumed) return false;
   if (ins == WakeupTree::Insert::kNewBranch) {
-    push_item(eng, me,
-              Item{target, branch, target->wut.node(branch).step.sig.thread});
+    eng.push(me,
+             OItem{target, branch, target->wut.node(branch).step.sig.thread});
   }
   return true;
 }
@@ -347,7 +114,7 @@ bool insert_sequence_locked(Engine& eng, std::size_t me,
 /// before its execute_step finishes) has the sequence stashed instead;
 /// the owner drains the stash when it publishes readiness. Returns true
 /// iff something was inserted.
-bool insert_sequence(Engine& eng, std::size_t me, const NodePtr& target,
+bool insert_sequence(Eng& eng, std::size_t me, const ONodePtr& target,
                      const WakeupSequence& v) {
   std::lock_guard lock(target->mu);
   if (!target->ready) {
@@ -369,22 +136,14 @@ bool insert_sequence(Engine& eng, std::size_t me, const NodePtr& target,
 /// exploration only happens where the tree has run dry. The same race is
 /// re-detected at every maximal execution below it; subsumption against
 /// the tree (taken branches included) eats the duplicates.
-void leaf_race_reversals(Engine& eng, std::size_t me, const NodePtr& leaf) {
+void leaf_race_reversals(Eng& eng, std::size_t me, const ONodePtr& leaf) {
   obs::ScopedPhase race_phase(obs::Phase::kRaceDetect);
-  Node& n = *leaf;
+  ONode& n = *leaf;
   const std::size_t d = n.depth;
   if (d < 2) return;
 
-  thread_local std::vector<Node*> nodes;
-  nodes.resize(d + 1);
-  {
-    Node* p = &n;
-    for (std::size_t k = d;; --k) {
-      nodes[k] = p;
-      if (k == 0) break;
-      p = p->parent.get();
-    }
-  }
+  thread_local std::vector<ONode*> nodes;
+  collect_spine(n, nodes);
   const auto sig_at = [&](std::size_t k) -> const StepSig& {
     return nodes[k]->in_sig;
   };
@@ -442,16 +201,13 @@ void leaf_race_reversals(Engine& eng, std::size_t me, const NodePtr& leaf) {
         // the prescribed part of a branch is guided, never expands
         // siblings, and therefore adds no sleepers of its own). Both
         // vectors are immutable once the target is prepared, so no lock.
-        if (eng.parsimonious) {
-          const Node* tgt = nodes[i - 1];
+        if (eng.options.por == PorMode::kOptimalParsimonious) {
+          const ONode* tgt = nodes[i - 1];
           thread_local SleepSet demands;
           demands = tgt->sleep;
           demands.insert(demands.end(), tgt->sigs.begin(), tgt->sigs.end());
           std::sort(demands.begin(), demands.end());
           prune_to_dependent_core(seq, demands);
-        }
-        if (eng.debug) {
-          std::fprintf(stderr, "race (%zu,%zu) at leaf d=%zu:\n", i, k, d);
         }
         if (insert_sequence(eng, me, nodes[i]->parent, seq)) {
           ++eng.totals[me].stats.backtracks;
@@ -638,7 +394,7 @@ Stuck stuck_of(const StepSig& s) {
 /// instances, all of them asleep, and no thread that can still move —
 /// transitively, counting threads the movers may wake — can ever perform
 /// an access dependent with them.
-bool has_doomed_thread(const Node& n) {
+bool has_doomed_thread(const ONode& n) {
   thread_local std::vector<Stuck> stuck;
   thread_local std::vector<c11::ThreadId> active;
   stuck.clear();
@@ -667,7 +423,7 @@ bool has_doomed_thread(const Node& n) {
 /// thread is conservatively active with its pre-step continuation (a
 /// superset of the post-step one for wakeup purposes), so a false
 /// negative only delays the verdict to the child's own doom check.
-bool sibling_class_doomed(const Node& n, const std::vector<StepSig>& claimed,
+bool sibling_class_doomed(const ONode& n, const std::vector<StepSig>& claimed,
                           std::size_t j) {
   const StepSig& sib = n.sigs[j];
   thread_local std::vector<Stuck> stuck;
@@ -698,137 +454,21 @@ bool sibling_class_doomed(const Node& n, const std::vector<StepSig>& claimed,
 }
 
 /// Executes one transition (step index `i`) of `self` into the
-/// pre-acquired `child` node (already registered as the step's claimant),
-/// running the race-reversal pass and scheduling the child: along its
-/// inherited wakeup subtree when non-empty, by free thread choice
-/// otherwise. `prefix` is the executed-sibling snapshot taken when the
+/// pre-acquired `child` node (already registered as the step's claimant)
+/// and schedules the child: along its inherited wakeup subtree when
+/// non-empty, by free thread choice otherwise; a leaf reverses the races
+/// on its trace. `prefix` is the executed-sibling snapshot taken when the
 /// step was claimed. Returns false when the search must stop.
-bool execute_step(Engine& eng, std::size_t me, const NodePtr& self,
-                  std::size_t i, NodePtr child, WakeupTree subtree,
+bool execute_step(Eng& eng, std::size_t me, const ONodePtr& self,
+                  std::size_t i, ONodePtr child, WakeupTree subtree,
                   SleepSet prefix) {
-  Node& n = *self;
-  const bool pe = eng.options.pre_execution;
-  const StepSig sig = n.sigs[i];
+  if (!materialize_child(eng, me, self, i, *child)) return false;
   ExploreStats& my = eng.totals[me].stats;
 
-  eng.transitions.fetch_add(1, std::memory_order_relaxed);
-  if (n.redundant) ++my.redundant_transitions;
-  if (eng.debug) {
-    std::fprintf(stderr,
-                 "exec n=%p c=%p d=%u t%u k=%d var=%u obs=(%u,%d) subtree=%zu\n",
-                 static_cast<void*>(&n), static_cast<void*>(child.get()),
-                 n.depth, sig.thread, static_cast<int>(sig.kind), sig.var,
-                 sig.observed.thread,
-                 sig.silent ? -1 : static_cast<int>(sig.observed.index),
-                 subtree.branch_count());
-  }
-
-  interp::Step in_step;
-  if (pe) {
-    const interp::ConfigStep& ps = n.pe_steps[i];
-    in_step.thread = ps.thread;
-    in_step.silent = ps.silent;
-    in_step.loop_unfold = ps.loop_unfold;
-    in_step.action = ps.action;
-    in_step.observed = ps.observed;
-    child->config = std::move(n.pe_steps[i].next);
-  } else {
-    obs::ScopedPhase apply_phase(obs::Phase::kApply);
-    in_step = n.steps[i];
-    child->config = n.config;
-    (void)interp::apply_step(child->config, n.steps[i], eng.options.step);
-  }
-  interp::Config& child_config = child->config;
-
-  if (eng.visitor.on_transition) {
-    interp::ConfigStep view;
-    view.thread = sig.thread;
-    view.silent = sig.silent;
-    if (!sig.silent) {
-      view.event = static_cast<c11::EventId>(child_config.exec.size() - 1);
-      view.observed = in_step.observed;  // frame tag (sig is canonical)
-      view.action = child_config.exec.event(view.event).action;
-    }
-    view.loop_unfold = in_step.loop_unfold;
-    view.next = std::move(child_config);
-    const bool keep = eng.visitor.on_transition(n.config, view);
-    child_config = std::move(view.next);
-    if (!keep) {
-      Trace t = spine_trace(&n);
-      t.entries.push_back(make_entry(in_step));
-      eng.record_abort(std::move(t));
-      return false;
-    }
-  }
-
-  build_incoming_row(self, sig, child->hb_row);
-
-  child->parent = self;
-  child->depth = n.depth + 1;
-  child->in_sig = sig;
-  child->in_step = in_step;
-  my.max_depth = std::max<std::size_t>(my.max_depth, child->depth + 1);
-
-  InsertResult ins;
-  {
-    obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-    ins = eng.seen.insert(child->config.fingerprint());
-  }
-  child->redundant = n.redundant || !ins.inserted;
-  if (child->config.terminated()) {
-    ++my.complete_traces;
-  }
-  if (ins.inserted) {
-    const std::size_t states =
-        eng.states.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (states >= eng.options.max_states) {
-      eng.truncated.store(true);
-      eng.stop.store(true);
-      return false;
-    }
-    if (eng.visitor.on_state && !eng.visitor.on_state(child->config)) {
-      eng.record_abort(spine_trace(child.get()));
-      return false;
-    }
-    if (child->config.terminated()) {
-      ++my.finals;
-      if (eng.visitor.on_final && !eng.visitor.on_final(child->config)) {
-        eng.record_abort(spine_trace(child.get()));
-        return false;
-      }
-    }
-  } else {
-    ++my.merged;
-    ++eng.worker_stats[me].merged;
-  }
-
-  prepare_node(*child, eng.options);
-
-  // Sleep inheritance (always on: the sleep filter is integral to the
-  // algorithm): everything slept on at n plus the earlier-executed
-  // siblings, filtered down to what commutes with the taken step.
-  child->sleep.reserve(n.sleep.size() + prefix.size());
-  for (const StepSig& s : n.sleep) {
-    if (independent(s, sig)) child->sleep.push_back(s);
-  }
-  for (const StepSig& s : prefix) {
-    if (independent(s, sig)) child->sleep.push_back(s);
-  }
-  std::sort(child->sleep.begin(), child->sleep.end());
-  child->sleep.erase(std::unique(child->sleep.begin(), child->sleep.end()),
-                     child->sleep.end());
-  std::size_t pruned = 0;
-  for (const StepSig& s : child->sigs) {
-    if (sleep_contains(child->sleep, s)) ++pruned;
-  }
-  if (pruned > 0) {
-    my.por_pruned += pruned;
-  }
+  // Sleep inheritance is always on: the sleep filter is integral to the
+  // algorithm.
+  const std::size_t pruned = inherit_sleep(*self, *child, prefix, my);
   child->doomed = pruned > 0 && has_doomed_thread(*child);
-  if (child->doomed && eng.debug) {
-    std::fprintf(stderr, "DOOMED at depth %u:\n%s", child->depth,
-                 spine_trace(child.get()).to_string().c_str());
-  }
 
   bool guided = false;
   {
@@ -843,8 +483,8 @@ bool execute_step(Engine& eng, std::size_t me, const NodePtr& self,
       // Follow the inherited wakeup subtree: one item per pending branch.
       for (WakeupTree::NodeId b = child->wut.first_branch();
            b != WakeupTree::kNil; b = child->wut.node(b).next_sibling) {
-        ++eng.worker_stats[me].enqueued;
-        push_item(eng, me, Item{child, b, child->wut.node(b).step.sig.thread});
+        bump(eng.worker_stats[me].enqueued);
+        eng.push(me, OItem{child, b, child->wut.node(b).step.sig.thread});
       }
     }
     child->ready = true;
@@ -864,19 +504,7 @@ bool execute_step(Engine& eng, std::size_t me, const NodePtr& self,
     // mode never reaches this line (asserted over the catalogue);
     // defensively the trace still goes through race reversal below so no
     // coverage is lost if it ever fires.
-    ++my.sleep_blocked;
-    if (eng.debug) {
-      std::fprintf(stderr, "BLOCKED at depth %u:\n%s", child->depth,
-                   spine_trace(child.get()).to_string().c_str());
-      for (const StepSig& s : child->sigs) {
-        std::fprintf(stderr,
-                     "  asleep: t%u silent=%d k=%d var=%u rv=%d wv=%d "
-                     "obs=(%u,%u)\n",
-                     s.thread, s.silent ? 1 : 0, static_cast<int>(s.kind),
-                     s.var, s.rval, s.wval, s.observed.thread,
-                     s.observed.index);
-      }
-    }
+    bump(my.sleep_blocked);
   }
 
   if (child->sigs.empty() || blocked) {
@@ -901,30 +529,30 @@ bool execute_step(Engine& eng, std::size_t me, const NodePtr& self,
 
   const c11::ThreadId first = pick_first(*child);
   if (first != 0) {
-    ++eng.worker_stats[me].enqueued;
-    push_item(eng, me, Item{std::move(child), WakeupTree::kNil, first});
+    bump(eng.worker_stats[me].enqueued);
+    eng.push(me, OItem{std::move(child), WakeupTree::kNil, first});
   }
   return true;
 }
 
 /// The loop-unfold marker of step i at n, for either semantics.
-bool loop_unfold_at(const Engine& eng, const Node& n, std::size_t i) {
+bool loop_unfold_at(const Eng& eng, const ONode& n, std::size_t i) {
   return eng.options.pre_execution ? n.pe_steps[i].loop_unfold
                                    : n.steps[i].loop_unfold;
 }
 
 /// The wakeup form of step i at n: its (canonically named) signature plus
 /// the unfold marker. Never speculative — the step is enabled here.
-WakeupStep wakeup_step_at(const Engine& eng, const Node& n, std::size_t i) {
+WakeupStep wakeup_step_at(const Eng& eng, const ONode& n, std::size_t i) {
   return WakeupStep{n.sigs[i], loop_unfold_at(eng, n, i), false};
 }
 
 /// Expands a free-scheduling item: runs every awake transition of the
 /// thread, recording each as a taken leaf in the node's wakeup tree so
 /// later insertions subsume against it.
-void expand_free(Engine& eng, std::size_t me, const NodePtr& node,
+void expand_free(Eng& eng, std::size_t me, const ONodePtr& node,
                  c11::ThreadId thread) {
-  Node& n = *node;
+  ONode& n = *node;
   for (std::size_t i = 0; i < n.sigs.size(); ++i) {
     if (n.sigs[i].thread != thread) continue;
     if (eng.stop.load(std::memory_order_acquire)) return;
@@ -933,7 +561,7 @@ void expand_free(Engine& eng, std::size_t me, const NodePtr& node,
       continue;  // covered by an earlier sibling subtree
     }
     SleepSet prefix;
-    NodePtr child = acquire_node(eng);
+    ONodePtr child = acquire_node(eng);
     {
       std::lock_guard lock(n.mu);
       if (contains(n.executed, sig)) continue;  // claimed by a branch item
@@ -953,14 +581,14 @@ void expand_free(Engine& eng, std::size_t me, const NodePtr& node,
 /// hands the branch's subtree to the child. Steps are keyed on the full
 /// signature — reads-from choice included — so a branch prescribes one
 /// Mazurkiewicz class, not a thread.
-void expand_branch(Engine& eng, std::size_t me, const NodePtr& node,
+void expand_branch(Eng& eng, std::size_t me, const ONodePtr& node,
                    WakeupTree::NodeId branch) {
-  Node& n = *node;
+  ONode& n = *node;
   std::size_t i = kNoStep;
   SleepSet prefix;
   WakeupTree subtree;
-  NodePtr child = acquire_node(eng);
-  NodePtr claimant;  ///< child the branch's continuation re-targets into
+  ONodePtr child = acquire_node(eng);
+  ONodePtr claimant;  ///< child the branch's continuation re-targets into
   /// Sequences to graft into `claimant` (i == kNoStep graft cases).
   thread_local std::vector<WakeupSequence> paths;
   paths.clear();
@@ -1005,9 +633,10 @@ void expand_branch(Engine& eng, std::size_t me, const NodePtr& node,
       // schedule every thread with awake transitions, degrading this
       // node to full local expansion (race detection below keeps
       // coverage complete).
-      for (const c11::ThreadId q : n.enabled) {
-        if (has_awake_step(n, q)) {
-          push_item(eng, me, Item{node, WakeupTree::kNil, q});
+      for (std::size_t j = 0; j < n.sigs.size(); ++j) {
+        const c11::ThreadId q = n.sigs[j].thread;  // sigs sorted by thread
+        if ((j == 0 || n.sigs[j - 1].thread != q) && has_awake_step(n, q)) {
+          eng.push(me, OItem{node, WakeupTree::kNil, q});
         }
       }
       return;
@@ -1066,165 +695,33 @@ void expand_branch(Engine& eng, std::size_t me, const NodePtr& node,
   }
 }
 
-/// Adds this thread's step-enumeration counter movement since `base` to
-/// worker `me`'s slabs — both the per-worker WorkerStats attribution (the
-/// split survives steal handoffs; engine totals are the sum over workers)
-/// and the reporting totals merged into ExploreStats at finish.
-void flush_enum_counters(Engine& eng, std::size_t me,
-                         const interp::StepEnumCounters& base) {
-  const interp::StepEnumCounters& ec = interp::step_enum_counters();
-  eng.worker_stats[me].enum_reused += ec.reused - base.reused;
-  eng.worker_stats[me].enum_recomputed += ec.recomputed - base.recomputed;
-  eng.totals[me].stats.enum_threads_reused += ec.reused - base.reused;
-  eng.totals[me].stats.enum_threads_recomputed +=
-      ec.recomputed - base.recomputed;
-}
-
-/// Progress heartbeat: the winning worker samples the engine counters. The
-/// per-worker slabs are owner-written plain fields; sampling them here is
-/// unsynchronized by design (monitoring only, no control flow depends on
-/// the values).
-void emit_heartbeat(Engine& eng) {
-  obs::ProgressSnapshot snap;
-  snap.states = eng.states.load(std::memory_order_relaxed);
-  snap.transitions = eng.transitions.load(std::memory_order_relaxed);
-  snap.frontier = eng.pending.load(std::memory_order_relaxed);
-  snap.seen_bytes = eng.seen.bytes();
-  for (const WorkerTotals& w : eng.totals) {
-    snap.finals += w.stats.finals;
-    snap.sleep_blocked += w.stats.sleep_blocked;
-    snap.redundant += w.stats.redundant_transitions;
-    snap.max_depth = std::max(snap.max_depth, w.stats.max_depth);
-  }
-  snap.workers.reserve(eng.worker_stats.size());
-  for (const WorkerStats& ws : eng.worker_stats) {
-    snap.workers.push_back({ws.processed, ws.enqueued, ws.steals, ws.merged});
-  }
-  eng.options.telemetry->emit(std::move(snap));
-}
-
-void worker_loop_impl(Engine& eng, std::size_t me) {
-  constexpr int kYieldRounds = 64;
-  int idle_rounds = 0;
-  while (true) {
-    if (eng.stop.load(std::memory_order_acquire)) return;
-    std::optional<Item> item = eng.deques.pop_local(me);
-    if (!item && eng.deques.worker_count() > 1) {
-      item = eng.deques.steal(me);
-      if (item) {
-        ++eng.worker_stats[me].steals;
-        obs::instant_event("steal");
-      }
-    }
-    if (!item) {
-      if (eng.pending.load(std::memory_order_acquire) == 0) return;
-      if (eng.deques.worker_count() == 1) return;
-      if (++idle_rounds <= kYieldRounds) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      continue;
-    }
-    idle_rounds = 0;
-    ++eng.worker_stats[me].processed;
-    if (item->branch != WakeupTree::kNil) {
-      expand_branch(eng, me, item->node, item->branch);
-    } else {
-      expand_free(eng, me, item->node, item->thread);
-    }
-    eng.pending.fetch_sub(1, std::memory_order_acq_rel);
-    if (eng.options.telemetry != nullptr &&
-        eng.options.telemetry->heartbeat_due()) {
-      emit_heartbeat(eng);
-    }
-  }
-}
-
-void worker_loop(Engine& eng, std::size_t me) {
-  obs::WorkerScope obs_scope(eng.options.telemetry,
-                             static_cast<std::uint32_t>(me));
-  const interp::StepEnumCounters enum_base = interp::step_enum_counters();
-  worker_loop_impl(eng, me);
-  flush_enum_counters(eng, me, enum_base);
-}
-
 }  // namespace
 
-ExploreResult explore_optimal(const interp::Config& start,
-                              const ExploreOptions& options,
-                              const Visitor& visitor, std::size_t workers,
-                              std::vector<WorkerStats>* worker_stats) {
-  if (workers == 0) workers = 1;
-  Engine eng(options, visitor, workers);
-  // Scheduling points are visible steps only, exactly as in the
-  // source-set engine (traces replay under tau_compress = true).
-  eng.options.step.tau_compress = true;
-
-  obs::PhaseProfile profile_base;
-  if (options.telemetry != nullptr) profile_base = options.telemetry->profile();
-
-  auto finish = [&](bool root_aborted = false) {
-    ExploreResult res;
-    // Per-worker reporting slabs merge via ExploreStats::operator+=; the
-    // shared/atomic pieces are set once on the merged result afterwards.
-    for (const WorkerTotals& w : eng.totals) res.stats += w.stats;
-    res.stats.states = eng.states.load();
-    res.stats.transitions = eng.transitions.load();
-    res.stats.truncated = eng.truncated.load();
-    res.stats.peak_seen_bytes = eng.seen.bytes();
-    {
-      std::lock_guard lock(eng.abort_mutex);
-      res.aborted = eng.aborted || root_aborted;
-      res.abort_trace = std::move(eng.abort_trace);
-    }
-    if (worker_stats != nullptr) *worker_stats = eng.worker_stats;
-    if (options.telemetry != nullptr) {
-      res.phases = options.telemetry->profile() - profile_base;
-    }
-    return res;
-  };
-
-  NodePtr root = acquire_node(eng);
-  root->config = start;
+void Optimal::start(Eng& eng, const ONodePtr& root, c11::ThreadId first) {
   root->ready = true;  // fully initialized before any item runs
-  eng.totals[0].stats.max_depth = 1;
-  {
-    // Root preparation runs on the calling thread, before any worker
-    // snapshots its own counter base (and under its own telemetry scope,
-    // released before the workers attach theirs).
-    obs::WorkerScope obs_scope(options.telemetry, 0);
-    (void)eng.seen.insert(root->config.fingerprint());
-    eng.states.store(1);
-    if (visitor.on_state && !visitor.on_state(root->config)) {
-      return finish(/*root_aborted=*/true);
-    }
-    if (root->config.terminated()) {
-      eng.totals[0].stats.finals = 1;
-      eng.totals[0].stats.complete_traces = 1;
-      if (visitor.on_final && !visitor.on_final(root->config)) {
-        return finish(/*root_aborted=*/true);
-      }
-    }
-    const interp::StepEnumCounters enum_base = interp::step_enum_counters();
-    prepare_node(*root, eng.options);
-    flush_enum_counters(eng, 0, enum_base);
-  }
-  const c11::ThreadId first = pick_first(*root);
-  if (first != 0) {
-    push_item(eng, 0, Item{root, WakeupTree::kNil, first});
-  }
-
-  if (workers == 1) {
-    worker_loop(eng, 0);
-  } else {
-    util::ThreadPool pool(workers);
-    for (std::size_t k = 0; k < workers; ++k) {
-      pool.submit([&eng, k] { worker_loop(eng, k); });
-    }
-    pool.wait_idle();
-  }
-  return finish();
+  eng.push(0, OItem{root, WakeupTree::kNil, first});
 }
 
-}  // namespace rc11::mc
+/// Builds the happens-before row of the step about to be taken from
+/// `self`; races are detected later, at maximal executions
+/// (leaf_race_reversals).
+void Optimal::incoming_row(Eng& /*eng*/, std::size_t /*me*/,
+                           const ONodePtr& self, const StepSig& t_sig,
+                           std::vector<char>& row_out) {
+  thread_local std::vector<ONode*> nodes;
+  build_incoming_row(*self, t_sig, nodes, row_out);
+}
+
+void Optimal::expand(Eng& eng, std::size_t me, OItem& item) {
+  if (item.branch != WakeupTree::kNil) {
+    expand_branch(eng, me, item.node, item.branch);
+  } else {
+    expand_free(eng, me, item.node, item.thread);
+  }
+}
+
+template ExploreResult run<Optimal>(const interp::Config&,
+                                    const ExploreOptions&, const Visitor&,
+                                    std::size_t, std::vector<WorkerStats>*);
+
+}  // namespace rc11::mc::tree

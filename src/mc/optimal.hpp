@@ -1,7 +1,8 @@
 // Optimal source-set DPOR with wakeup trees (mc/wakeup.hpp), instantiated
-// for the interpreted RA semantics.
+// for the interpreted RA semantics: explore_tree's policy for
+// PorMode::kOptimal and kOptimalParsimonious.
 //
-// The stateless source-set engine (mc/dpor.hpp) inserts *backtrack
+// The stateless source-set policy (mc/dpor.hpp) inserts *backtrack
 // threads*: a race reversal schedules one initial thread at the racing
 // node and lets free exploration take it from there. Free exploration can
 // wander into territory an earlier sibling subtree already covers, where
@@ -37,31 +38,16 @@
 // PorMode::kOptimalParsimonious prunes v to its dependent core (the steps
 // with a dependence path to t — see wakeup.hpp) for shorter sequences and
 // cheaper subsumption at the price of the strict zero-blocked guarantee.
+// The sleep filter is integral to the algorithm and always on.
 //
-// Like the stateless engine, this one runs sequentially (workers = 1,
-// deterministic, traces replay) and work-stealing in parallel: shared
-// tree nodes carry their wakeup tree, executed-prefix and sleep state
-// behind the node mutex, so race reversals discovered in stolen subtrees
-// insert wakeup sequences into ancestors soundly, and a branch inserted
-// into a node whose owner finished long ago simply enqueues a fresh work
-// item for it.
+// The engine is the optimal policy of the shared tree-engine harness
+// (mc/harness.hpp; entry point explore_tree in dpor.hpp): it runs
+// sequentially (workers = 1, deterministic, traces replay under
+// tau_compress = true) and work-stealing in parallel. Shared tree nodes
+// carry their wakeup tree and executed prefix behind the node mutex, so
+// race reversals discovered in stolen subtrees insert wakeup sequences
+// into ancestors soundly, and a branch inserted into a node whose owner
+// finished long ago simply enqueues a fresh work item for it.
 #pragma once
 
-#include <vector>
-
-#include "mc/explorer.hpp"
-
-namespace rc11::mc {
-
-/// Runs optimal wakeup-tree DPOR from `start`. `options.por` selects the
-/// reversal flavour (kOptimalParsimonious prunes inserted sequences to
-/// their dependent core; any other mode is treated as kOptimal). The
-/// sleep filter is integral to the algorithm and always on. As with
-/// explore_dpor, step.tau_compress is forced on and returned traces
-/// replay under tau_compress = true.
-[[nodiscard]] ExploreResult explore_optimal(
-    const interp::Config& start, const ExploreOptions& options,
-    const Visitor& visitor, std::size_t workers = 1,
-    std::vector<WorkerStats>* worker_stats = nullptr);
-
-}  // namespace rc11::mc
+#include "mc/dpor.hpp"

@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
-#include <chrono>
 #include <functional>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "c11/races.hpp"
 #include "mc/dpor.hpp"
-#include "mc/independence.hpp"
-#include "mc/optimal.hpp"
-#include "util/thread_pool.hpp"
-#include "util/work_deque.hpp"
+#include "mc/harness.hpp"
 
 namespace rc11::mc {
 
@@ -36,35 +29,15 @@ struct WorkItem {
   bool revisit = false;  ///< re-expansion after a sleep-set intersection
 };
 
-/// Per-worker reporting counters, merged into the result with
-/// ExploreStats::operator+= when the run finishes. Owner-written without
-/// synchronization (heartbeats may sample them; monitoring only), padded so
-/// neighbouring workers don't false-share.
-struct alignas(64) WorkerTotals {
-  ExploreStats stats;
-};
-
-/// Shared context of one work-stealing run.
-struct ParallelRun {
+/// Shared context of one work-stealing run (the deques, counters, seen
+/// set and worker loop come from the harness core).
+struct ParallelRun : WorkerCore<WorkItem> {
   ParallelRun(const ExploreOptions& opts, std::size_t workers)
-      : options(opts),
-        por_sleep(opts.por == PorMode::kSleepSets),
-        seen(workers),
-        deques(workers),
-        worker_stats(workers),
-        totals(workers) {}
+      : WorkerCore(opts, workers),
+        por_sleep(opts.por == PorMode::kSleepSets) {}
 
-  ExploreOptions options;
   bool por_sleep;
   const lang::Program* program = nullptr;  ///< set by run_parallel
-  AdaptiveSeenSet seen;
-  util::WorkDeques<WorkItem> deques;
-  std::vector<WorkerStats> worker_stats;
-  /// Pure-reporting counters live here, one slab per worker, written by the
-  /// owner only — no hot-path atomics. `states`, `transitions` and
-  /// `truncated` stay atomic: max_states control flow and heartbeat rates
-  /// need coherent cross-worker reads.
-  std::vector<WorkerTotals> totals;
 
   /// Per-state sleep sets (Godefroid's state-caching rule), sharded by the
   /// fingerprint's shard bits. The shard mutex is taken as an outer lock
@@ -75,13 +48,6 @@ struct ParallelRun {
   static constexpr std::size_t kSleepShards = 16;
   std::array<std::mutex, kSleepShards> sleep_mutexes;
   std::array<std::unordered_map<StateId, SleepSet>, kSleepShards> sleep_store;
-
-  /// Items pushed but not yet fully expanded; 0 <=> exploration finished.
-  std::atomic<std::size_t> pending{0};
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> states{0};
-  std::atomic<std::size_t> transitions{0};
-  std::atomic<bool> truncated{false};
 
   /// First violating / witnessing state, for trace reconstruction. When
   /// the hit is a transition (race checking), hit_step is the successor
@@ -107,11 +73,6 @@ struct ParallelRun {
     stop.store(true, std::memory_order_release);
   }
 };
-
-void push_local(ParallelRun& run, std::size_t me, WorkItem item) {
-  run.pending.fetch_add(1, std::memory_order_acq_rel);
-  run.deques.push_local(me, std::move(item));
-}
 
 /// Per-worker exploration cursor: one Config stepped in place along `path`,
 /// with one undo token per level so backtracking never re-derives a prefix.
@@ -170,12 +131,12 @@ void position(ParallelRun& run, Cursor& cur, const WorkItem& item) {
 /// the LIFO common case, a suffix replay after an actual deque steal.
 /// Visitors observing transitions (on_transition materializes a ConfigStep
 /// per edge) fall back to the copying oracle path.
-void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
+void process(ParallelRun& run, std::size_t me, Cursor& cur,
+             const WorkItem& item) {
   WorkerStats& ws = run.worker_stats[me];
   ExploreStats& my = run.totals[me].stats;
-  ++ws.processed;
   position(run, cur, item);
-  my.max_depth = std::max<std::size_t>(my.max_depth, item.path.size() + 1);
+  raise_to(my.max_depth, item.path.size() + 1);
   if (!item.revisit) {
     if (run.states.fetch_add(1, std::memory_order_relaxed) >=
         run.options.max_states) {
@@ -188,7 +149,7 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
       return;
     }
     if (cur.config.terminated()) {
-      ++my.finals;
+      bump(my.finals);
       if (run.on_final && !run.on_final(cur.config)) {
         run.record_hit(item.id);
         return;
@@ -232,11 +193,11 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
         }
         if (!ins.inserted) {
           ++my.merged;
-          ++ws.merged;
+          bump(ws.merged);
           continue;
         }
-        ++ws.enqueued;
-        push_local(run, me, child_item(ins.id, i));
+        bump(ws.enqueued);
+        run.push(me, child_item(ins.id, i));
         continue;
       }
       SleepSet succ_sleep = successor_sleep(item.sleep, sigs, i);
@@ -250,24 +211,24 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
       }
       if (ins.inserted) {
         run.sleep_store[shard][ins.id] = succ_sleep;
-        ++ws.enqueued;
+        bump(ws.enqueued);
         WorkItem w = child_item(ins.id, i);
         w.sleep = std::move(succ_sleep);
-        push_local(run, me, std::move(w));
+        run.push(me, std::move(w));
         continue;
       }
       SleepSet& stored = run.sleep_store[shard][ins.id];
       if (is_subset(stored, succ_sleep)) {
         ++my.merged;
-        ++ws.merged;
+        bump(ws.merged);
         continue;
       }
       stored = intersection(stored, succ_sleep);
-      ++ws.enqueued;
+      bump(ws.enqueued);
       WorkItem w = child_item(ins.id, i);
       w.sleep = stored;
       w.revisit = true;
-      push_local(run, me, std::move(w));
+      run.push(me, std::move(w));
     }
     return;
   }
@@ -301,10 +262,10 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
       }
       if (!ins.inserted) {
         ++my.merged;
-        ++ws.merged;
+        bump(ws.merged);
       } else {
-        ++ws.enqueued;
-        push_local(run, me, child_item(ins.id, i));
+        bump(ws.enqueued);
+        run.push(me, child_item(ins.id, i));
       }
       obs::ScopedPhase undo_phase(obs::Phase::kUndo);
       interp::undo_step(cur.config, undo);
@@ -322,25 +283,25 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
       }
       if (ins.inserted) {
         run.sleep_store[shard][ins.id] = succ_sleep;
-        ++ws.enqueued;
+        bump(ws.enqueued);
         WorkItem w = child_item(ins.id, i);
         w.sleep = std::move(succ_sleep);
-        push_local(run, me, std::move(w));
+        run.push(me, std::move(w));
       } else {
         SleepSet& stored = run.sleep_store[shard][ins.id];
         if (is_subset(stored, succ_sleep)) {
           ++my.merged;
-          ++ws.merged;
+          bump(ws.merged);
         } else {
           // Previously pruned transitions may now be required: re-expand
           // with the (strictly smaller) intersection. The stored set
           // shrinks on every re-expansion, so the run terminates.
           stored = intersection(stored, succ_sleep);
-          ++ws.enqueued;
+          bump(ws.enqueued);
           WorkItem w = child_item(ins.id, i);
           w.sleep = stored;
           w.revisit = true;
-          push_local(run, me, std::move(w));
+          run.push(me, std::move(w));
         }
       }
     }
@@ -349,84 +310,7 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
   }
 }
 
-/// Progress heartbeat: the winning worker samples the run counters. The
-/// per-worker slabs are owner-written plain fields; sampling them here is
-/// unsynchronized by design (monitoring only, no control flow depends on
-/// the values).
-void emit_heartbeat(ParallelRun& run) {
-  obs::ProgressSnapshot snap;
-  snap.states = run.states.load(std::memory_order_relaxed);
-  snap.transitions = run.transitions.load(std::memory_order_relaxed);
-  snap.frontier = run.pending.load(std::memory_order_relaxed);
-  snap.seen_bytes = run.seen.bytes();
-  for (const WorkerTotals& w : run.totals) {
-    snap.finals += w.stats.finals;
-    snap.sleep_blocked += w.stats.sleep_blocked;
-    snap.redundant += w.stats.redundant_transitions;
-    snap.max_depth = std::max(snap.max_depth, w.stats.max_depth);
-  }
-  snap.workers.reserve(run.worker_stats.size());
-  for (const WorkerStats& ws : run.worker_stats) {
-    snap.workers.push_back({ws.processed, ws.enqueued, ws.steals, ws.merged});
-  }
-  run.options.telemetry->emit(std::move(snap));
-}
-
-void worker_loop(ParallelRun& run, std::size_t me) {
-  constexpr int kYieldRounds = 64;
-  int idle_rounds = 0;
-  obs::WorkerScope obs_scope(run.options.telemetry,
-                             static_cast<std::uint32_t>(me));
-  // Step-enumeration counters are thread_local: snapshot on entry, flush
-  // the delta to worker `me`'s slabs on every exit path — both the
-  // per-worker WorkerStats attribution (the split survives steal handoffs)
-  // and the reporting totals merged into ExploreStats at finish.
-  const interp::StepEnumCounters enum_base = interp::step_enum_counters();
-  const auto flush_enum = [&] {
-    const interp::StepEnumCounters& ec = interp::step_enum_counters();
-    run.worker_stats[me].enum_reused += ec.reused - enum_base.reused;
-    run.worker_stats[me].enum_recomputed +=
-        ec.recomputed - enum_base.recomputed;
-    run.totals[me].stats.enum_threads_reused += ec.reused - enum_base.reused;
-    run.totals[me].stats.enum_threads_recomputed +=
-        ec.recomputed - enum_base.recomputed;
-  };
-  Cursor cur{interp::initial_config(*run.program)};
-  while (true) {
-    if (run.stop.load(std::memory_order_acquire)) return flush_enum();
-    std::optional<WorkItem> item = run.deques.pop_local(me);
-    if (!item) {
-      item = run.deques.steal(me);
-      if (item) {
-        ++run.worker_stats[me].steals;
-        obs::instant_event("steal");
-      }
-    }
-    if (!item) {
-      if (run.pending.load(std::memory_order_acquire) == 0) {
-        return flush_enum();
-      }
-      // Back off while other workers drain a narrow frontier: a few
-      // yields, then short sleeps, so idle workers do not burn cores.
-      if (++idle_rounds <= kYieldRounds) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      continue;
-    }
-    idle_rounds = 0;
-    process(run, me, cur, *std::move(item));
-    run.pending.fetch_sub(1, std::memory_order_acq_rel);
-    if (run.options.telemetry != nullptr &&
-        run.options.telemetry->heartbeat_due()) {
-      emit_heartbeat(run);
-    }
-  }
-}
-
 ExploreStats run_parallel(const lang::Program& program, ParallelRun& run) {
-  const std::size_t workers = run.deques.worker_count();
   run.program = &program;
   interp::Config start = interp::initial_config(program);
   const util::Fingerprint root_fp = start.fingerprint();
@@ -436,25 +320,15 @@ ExploreStats run_parallel(const lang::Program& program, ParallelRun& run) {
         root_fp.shard_bits() & (ParallelRun::kSleepShards - 1);
     run.sleep_store[shard][root.id] = {};
   }
-  push_local(run, 0, WorkItem{root.id});
+  run.push(0, WorkItem{root.id, {}, {}, false});
 
-  {
-    util::ThreadPool pool(workers);
-    for (std::size_t k = 0; k < workers; ++k) {
-      pool.submit([&run, k] { worker_loop(run, k); });
-    }
-    pool.wait_idle();
-  }
-
-  ExploreStats stats;
-  // Per-worker reporting slabs merge via ExploreStats::operator+=; the
-  // shared/atomic pieces are set once on the merged result afterwards.
-  for (const WorkerTotals& w : run.totals) stats += w.stats;
-  stats.states = run.states.load();
-  stats.transitions = run.transitions.load();
-  stats.truncated = run.truncated.load();
-  stats.peak_seen_bytes = run.seen.bytes();
-  return stats;
+  run.run_workers([&run](std::size_t me) {
+    Cursor cur{interp::initial_config(*run.program), {}, {}};
+    run.worker_loop(me, [&](const WorkItem& item) {
+      process(run, me, cur, item);
+    });
+  });
+  return run.merged_stats();
 }
 
 /// Rebuilds the path root -> `leaf` (plus the recorded extra step, when
@@ -505,17 +379,9 @@ void export_info(const ParallelRun& run, ParallelRunInfo* info) {
 ExploreResult run_dpor(const lang::Program& program,
                        const ParallelOptions& options, const Visitor& visitor,
                        ParallelRunInfo* info) {
-  std::vector<WorkerStats> ws;
-  std::vector<WorkerStats>* wsp = info != nullptr ? &ws : nullptr;
-  const interp::Config start = interp::initial_config(program);
-  ExploreResult r =
-      is_optimal_dpor(options.explore.por)
-          ? explore_optimal(start, options.explore, visitor,
-                            worker_count(options), wsp)
-          : explore_dpor(start, options.explore, visitor,
-                         worker_count(options), wsp);
-  if (info != nullptr) info->workers = std::move(ws);
-  return r;
+  return explore_tree(interp::initial_config(program), options.explore,
+                      visitor, worker_count(options),
+                      info != nullptr ? &info->workers : nullptr);
 }
 
 /// A race of the execution the reported trace leads to (the checker

@@ -1,6 +1,5 @@
-// Per-worker work deques for the work-stealing explorers (mc/parallel.cpp
-// and mc/dpor.cpp share this container; each keeps its own termination
-// bookkeeping and idle loop).
+// Per-worker work deques for the work-stealing explorers (the worker loop
+// and termination bookkeeping around them live in mc/harness.hpp).
 //
 // Owners push to and pop from the back of their own deque (depth-first,
 // cache-friendly); thieves take from other workers' fronts (breadth-ish,

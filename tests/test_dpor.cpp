@@ -26,11 +26,14 @@
 //     tree engines) replays deterministically to the reported violating
 //     state (replay_trace);
 //   * check_invariant downgrades every DPOR mode to the state-preserving
-//     sleep-set mode.
+//     sleep-set mode;
+//   * every deterministic counter of the sequential tree engines matches
+//     a pinned golden table over the catalogue and the RMW family.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "c11/races.hpp"
@@ -651,6 +654,177 @@ TEST(RmwNondeterminism, OptimalTransitionsStayBelowSourceSets) {
           << parsed.name << " under " << por_mode_name(por);
     }
   }
+}
+
+// --- Exact-counter golden table for the tree engines ---------------------------
+//
+// Every deterministic counter of the sequential tree engines, pinned per
+// (program, mode) over the litmus catalogue and the RMW family above. A
+// refactoring of the engines must leave all of them unchanged; a deliberate
+// behaviour change re-baselines the table (regenerate it from the same
+// explore() calls and review the diff row by row).
+
+struct GoldenRow {
+  const char* program;
+  const char* mode;
+  std::size_t states, transitions, backtracks, por_pruned, sleep_blocked,
+      redundant_transitions, complete_traces, finals, merged,
+      enum_threads_reused, enum_threads_recomputed;
+};
+
+// clang-format off
+constexpr GoldenRow kGolden[] = {
+    // program, mode, states, transitions, backtracks, por_pruned,
+    // sleep_blocked, redundant, complete_traces, finals, merged,
+    // enum_reused, enum_recomputed
+    {"SB", "source", 13, 24, 3, 0, 0, 8, 12, 4, 12, 22, 28},
+    {"SB", "source-sleep", 13, 17, 2, 1, 0, 2, 8, 4, 5, 16, 20},
+    {"SB", "optimal", 13, 17, 2, 1, 0, 2, 8, 4, 5, 16, 20},
+    {"SB", "optimal-parsimonious", 13, 17, 2, 1, 0, 2, 8, 4, 5, 16, 20},
+    {"SB_ra", "source", 13, 24, 3, 0, 0, 8, 12, 4, 12, 22, 28},
+    {"SB_ra", "source-sleep", 13, 17, 2, 1, 0, 2, 8, 4, 5, 16, 20},
+    {"SB_ra", "optimal", 13, 17, 2, 1, 0, 2, 8, 4, 5, 16, 20},
+    {"SB_ra", "optimal-parsimonious", 13, 17, 2, 1, 0, 2, 8, 4, 5, 16, 20},
+    {"MP", "source", 13, 20, 3, 0, 0, 5, 9, 4, 8, 18, 24},
+    {"MP", "source-sleep", 13, 16, 2, 1, 0, 2, 7, 4, 4, 15, 19},
+    {"MP", "optimal", 13, 16, 2, 1, 0, 2, 7, 4, 4, 15, 19},
+    {"MP", "optimal-parsimonious", 13, 16, 2, 1, 0, 2, 7, 4, 4, 15, 19},
+    {"MP_ra", "source", 12, 19, 3, 0, 0, 5, 8, 3, 8, 17, 23},
+    {"MP_ra", "source-sleep", 12, 15, 2, 1, 0, 2, 6, 3, 4, 14, 18},
+    {"MP_ra", "optimal", 12, 15, 2, 1, 0, 2, 6, 3, 4, 14, 18},
+    {"MP_ra", "optimal-parsimonious", 12, 15, 2, 1, 0, 2, 6, 3, 4, 14, 18},
+    {"MP_rel_rlx", "source", 13, 20, 3, 0, 0, 5, 9, 4, 8, 18, 24},
+    {"MP_rel_rlx", "source-sleep", 13, 16, 2, 1, 0, 2, 7, 4, 4, 15, 19},
+    {"MP_rel_rlx", "optimal", 13, 16, 2, 1, 0, 2, 7, 4, 4, 15, 19},
+    {"MP_rel_rlx", "optimal-parsimonious", 13, 16, 2, 1, 0, 2, 7, 4, 4, 15, 19},
+    {"MP_rlx_acq", "source", 13, 20, 3, 0, 0, 5, 9, 4, 8, 18, 24},
+    {"MP_rlx_acq", "source-sleep", 13, 16, 2, 1, 0, 2, 7, 4, 4, 15, 19},
+    {"MP_rlx_acq", "optimal", 13, 16, 2, 1, 0, 2, 7, 4, 4, 15, 19},
+    {"MP_rlx_acq", "optimal-parsimonious", 13, 16, 2, 1, 0, 2, 7, 4, 4, 15, 19},
+    {"MP_swap", "source", 12, 19, 3, 0, 0, 5, 8, 3, 8, 17, 23},
+    {"MP_swap", "source-sleep", 12, 15, 2, 1, 0, 2, 6, 3, 4, 14, 18},
+    {"MP_swap", "optimal", 12, 15, 2, 1, 0, 2, 6, 3, 4, 14, 18},
+    {"MP_swap", "optimal-parsimonious", 12, 15, 2, 1, 0, 2, 6, 3, 4, 14, 18},
+    {"LB", "source", 13, 18, 3, 0, 0, 3, 6, 3, 6, 16, 22},
+    {"LB", "source-sleep", 13, 15, 2, 1, 0, 1, 5, 3, 3, 13, 19},
+    {"LB", "optimal", 13, 15, 2, 1, 0, 1, 5, 3, 3, 13, 19},
+    {"LB", "optimal-parsimonious", 13, 15, 2, 1, 0, 1, 5, 3, 3, 13, 19},
+    {"CoWW", "source", 19, 39, 6, 0, 0, 14, 20, 6, 21, 33, 47},
+    {"CoWW", "source-sleep", 19, 39, 6, 0, 0, 14, 20, 6, 21, 33, 47},
+    {"CoWW", "optimal", 19, 39, 10, 0, 0, 14, 20, 6, 21, 33, 47},
+    {"CoWW", "optimal-parsimonious", 19, 39, 10, 0, 0, 14, 20, 6, 21, 33, 47},
+    {"CoRR2", "source", 273, 3950, 297, 0, 0, 3410, 2400, 72, 3678, 11256, 4548},
+    {"CoRR2", "source-sleep", 273, 2556, 121, 102, 0, 2050, 1522, 72, 2284, 7306, 2922},
+    {"CoRR2", "optimal", 273, 2556, 239, 102, 0, 2098, 1522, 72, 2284, 7306, 2922},
+    {"CoRR2", "optimal-parsimonious", 273, 2556, 239, 102, 0, 2098, 1522, 72, 2284, 7306, 2922},
+    {"IRIW_ra", "source", 86, 654, 90, 0, 0, 515, 322, 16, 569, 1887, 733},
+    {"IRIW_ra", "source-sleep", 78, 185, 17, 45, 1, 81, 77, 16, 108, 536, 208},
+    {"IRIW_ra", "optimal", 84, 220, 26, 55, 0, 108, 93, 16, 137, 636, 248},
+    {"IRIW_ra", "optimal-parsimonious", 79, 184, 20, 38, 0, 85, 79, 16, 106, 532, 208},
+    {"W2+2W", "source", 14, 30, 3, 0, 0, 10, 16, 4, 17, 26, 36},
+    {"W2+2W", "source-sleep", 14, 23, 2, 1, 0, 4, 12, 4, 10, 20, 28},
+    {"W2+2W", "optimal", 14, 23, 2, 1, 0, 4, 12, 4, 10, 20, 28},
+    {"W2+2W", "optimal-parsimonious", 14, 23, 2, 1, 0, 4, 12, 4, 10, 20, 28},
+    {"SwapAtomicity", "source", 5, 4, 1, 0, 0, 0, 2, 2, 0, 2, 8},
+    {"SwapAtomicity", "source-sleep", 5, 4, 1, 0, 0, 0, 2, 2, 0, 2, 8},
+    {"SwapAtomicity", "optimal", 5, 4, 1, 0, 0, 0, 2, 2, 0, 2, 8},
+    {"SwapAtomicity", "optimal-parsimonious", 5, 4, 1, 0, 0, 0, 2, 2, 0, 2, 8},
+    {"WRC_ra", "source", 33, 98, 17, 0, 0, 50, 44, 7, 66, 182, 115},
+    {"WRC_ra", "source-sleep", 31, 55, 7, 8, 0, 16, 22, 7, 25, 103, 65},
+    {"WRC_ra", "optimal", 32, 55, 7, 8, 0, 20, 22, 7, 24, 103, 65},
+    {"WRC_ra", "optimal-parsimonious", 32, 55, 7, 7, 0, 19, 22, 7, 24, 103, 65},
+    {"S", "source", 13, 21, 3, 0, 0, 5, 9, 3, 9, 18, 26},
+    {"S", "source-sleep", 13, 17, 2, 1, 0, 2, 7, 3, 5, 15, 21},
+    {"S", "optimal", 13, 17, 2, 1, 0, 2, 7, 3, 5, 15, 21},
+    {"S", "optimal-parsimonious", 13, 17, 2, 1, 0, 2, 7, 3, 5, 15, 21},
+    {"CoRW1", "source", 3, 2, 0, 0, 0, 0, 1, 1, 0, 0, 3},
+    {"CoRW1", "source-sleep", 3, 2, 0, 0, 0, 0, 1, 1, 0, 0, 3},
+    {"CoRW1", "optimal", 3, 2, 0, 0, 0, 0, 1, 1, 0, 0, 3},
+    {"CoRW1", "optimal-parsimonious", 3, 2, 0, 0, 0, 0, 1, 1, 0, 0, 3},
+    {"CoWR", "source", 9, 15, 2, 0, 0, 3, 8, 3, 7, 11, 21},
+    {"CoWR", "source-sleep", 9, 15, 2, 0, 0, 3, 8, 3, 7, 11, 21},
+    {"CoWR", "optimal", 9, 15, 3, 0, 0, 3, 8, 3, 7, 11, 21},
+    {"CoWR", "optimal-parsimonious", 9, 15, 3, 0, 0, 3, 8, 3, 7, 11, 21},
+    {"ISA2", "source", 43, 117, 17, 0, 0, 64, 47, 7, 75, 221, 133},
+    {"ISA2", "source-sleep", 36, 61, 7, 10, 0, 18, 22, 7, 26, 116, 70},
+    {"ISA2", "optimal", 36, 59, 7, 6, 0, 23, 22, 7, 24, 112, 68},
+    {"ISA2", "optimal-parsimonious", 36, 59, 7, 6, 0, 23, 22, 7, 24, 112, 68},
+    {"SB_rmw", "source", 13, 24, 3, 0, 0, 8, 12, 4, 12, 22, 28},
+    {"SB_rmw", "source-sleep", 13, 17, 2, 1, 0, 2, 8, 4, 5, 16, 20},
+    {"SB_rmw", "optimal", 13, 17, 2, 1, 0, 2, 8, 4, 5, 16, 20},
+    {"SB_rmw", "optimal-parsimonious", 13, 17, 2, 1, 0, 2, 8, 4, 5, 16, 20},
+    {"W2+2W_ra", "source", 14, 30, 3, 0, 0, 10, 16, 4, 17, 26, 36},
+    {"W2+2W_ra", "source-sleep", 14, 23, 2, 1, 0, 4, 12, 4, 10, 20, 28},
+    {"W2+2W_ra", "optimal", 14, 23, 2, 1, 0, 4, 12, 4, 10, 20, 28},
+    {"W2+2W_ra", "optimal-parsimonious", 14, 23, 2, 1, 0, 4, 12, 4, 10, 20, 28},
+    {"WRC_rlx", "source", 34, 99, 17, 0, 0, 50, 45, 8, 66, 184, 116},
+    {"WRC_rlx", "source-sleep", 32, 56, 7, 8, 0, 16, 23, 8, 25, 105, 66},
+    {"WRC_rlx", "optimal", 33, 56, 7, 8, 0, 20, 23, 8, 24, 105, 66},
+    {"WRC_rlx", "optimal-parsimonious", 33, 56, 7, 7, 0, 19, 23, 8, 24, 105, 66},
+    {"rmw_tas_lock", "source", 1932, 15748, 1783, 0, 0, 13223, 192, 42, 13817, 27148, 20099},
+    {"rmw_tas_lock", "source-sleep", 1890, 8576, 780, 386, 19, 6219, 138, 42, 6687, 15113, 10618},
+    {"rmw_tas_lock", "optimal", 1804, 8490, 2624, 300, 0, 6244, 138, 42, 6687, 14976, 10497},
+    {"rmw_tas_lock", "optimal-parsimonious", 1804, 8490, 2624, 300, 0, 6244, 138, 42, 6687, 14976, 10497},
+    {"rmw_fadd_race", "source", 119, 540, 125, 0, 0, 378, 204, 36, 422, 858, 765},
+    {"rmw_fadd_race", "source-sleep", 119, 289, 53, 17, 0, 137, 108, 36, 171, 482, 388},
+    {"rmw_fadd_race", "optimal", 119, 289, 116, 17, 0, 150, 108, 36, 171, 482, 388},
+    {"rmw_fadd_race", "optimal-parsimonious", 119, 289, 116, 17, 0, 150, 108, 36, 171, 482, 388},
+    {"rmw_three_swappers", "source", 145, 319, 47, 0, 0, 116, 120, 36, 175, 578, 382},
+    {"rmw_three_swappers", "source-sleep", 145, 283, 38, 12, 0, 91, 108, 36, 139, 506, 346},
+    {"rmw_three_swappers", "optimal", 145, 283, 55, 12, 0, 92, 108, 36, 139, 506, 346},
+    {"rmw_three_swappers", "optimal-parsimonious", 145, 283, 55, 12, 0, 92, 108, 36, 139, 506, 346},
+    {"rmw_swap_chain", "source", 92, 351, 64, 0, 0, 227, 154, 23, 260, 588, 468},
+    {"rmw_swap_chain", "source-sleep", 92, 186, 27, 19, 0, 65, 74, 23, 95, 310, 251},
+    {"rmw_swap_chain", "optimal", 92, 186, 68, 19, 0, 68, 74, 23, 95, 310, 251},
+    {"rmw_swap_chain", "optimal-parsimonious", 92, 186, 68, 19, 0, 68, 74, 23, 95, 310, 251},
+};
+// clang-format on
+
+TEST(GoldenCounters, TreeEnginesMatchPinnedTable) {
+  struct Case {
+    std::string name;
+    lang::ParsedLitmus parsed;
+    ExploreOptions options;
+  };
+  std::vector<Case> cases;
+  for (const auto& test : litmus::catalog()) {
+    cases.push_back({test.name, lang::parse_litmus(test.source), {}});
+  }
+  for (const char* source : kRmwFamily) {
+    lang::ParsedLitmus parsed = lang::parse_litmus(source);
+    std::string name = parsed.name;
+    cases.push_back({std::move(name), std::move(parsed), rmw_seq_options({})});
+  }
+  std::size_t checked = 0;
+  for (const Case& c : cases) {
+    for (PorMode por : kTreeModes) {
+      const GoldenRow* row = nullptr;
+      for (const GoldenRow& g : kGolden) {
+        if (c.name == g.program && std::string(por_mode_name(por)) == g.mode) {
+          row = &g;
+        }
+      }
+      const std::string where = c.name + " under " + por_mode_name(por);
+      ASSERT_NE(row, nullptr) << where;
+      ExploreOptions o = c.options;
+      o.por = por;
+      const ExploreStats s = explore(c.parsed.program, o, {}).stats;
+      EXPECT_EQ(s.states, row->states) << where;
+      EXPECT_EQ(s.transitions, row->transitions) << where;
+      EXPECT_EQ(s.backtracks, row->backtracks) << where;
+      EXPECT_EQ(s.por_pruned, row->por_pruned) << where;
+      EXPECT_EQ(s.sleep_blocked, row->sleep_blocked) << where;
+      EXPECT_EQ(s.redundant_transitions, row->redundant_transitions) << where;
+      EXPECT_EQ(s.complete_traces, row->complete_traces) << where;
+      EXPECT_EQ(s.finals, row->finals) << where;
+      EXPECT_EQ(s.merged, row->merged) << where;
+      EXPECT_EQ(s.enum_threads_reused, row->enum_threads_reused) << where;
+      EXPECT_EQ(s.enum_threads_recomputed, row->enum_threads_recomputed)
+          << where;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGolden));
 }
 
 TEST(DporReduction, ConflictingWritersStillCoverAllFinals) {

@@ -16,7 +16,6 @@
 #include "litmus/catalog.hpp"
 #include "mc/checker.hpp"
 #include "mc/dpor.hpp"
-#include "mc/optimal.hpp"
 #include "mc/parallel.hpp"
 #include "util/fingerprint.hpp"
 #include "vcgen/peterson.hpp"
@@ -500,7 +499,7 @@ TEST(WorkerEnumCounters, DporSplitSumsToEngineTotals) {
     ExploreOptions opts;
     opts.por = PorMode::kSourceSets;
     std::vector<WorkerStats> ws;
-    const auto r = explore_dpor(interp::initial_config(parsed.program),
+    const auto r = explore_tree(interp::initial_config(parsed.program),
                                 opts, {}, workers, &ws);
     ASSERT_EQ(ws.size(), workers);
     expect_worker_enum_split(ws, r.stats, "dpor");
@@ -514,8 +513,8 @@ TEST(WorkerEnumCounters, OptimalSplitSumsToEngineTotals) {
     ExploreOptions opts;
     opts.por = PorMode::kOptimal;
     std::vector<WorkerStats> ws;
-    const auto r = explore_optimal(interp::initial_config(parsed.program),
-                                   opts, {}, workers, &ws);
+    const auto r = explore_tree(interp::initial_config(parsed.program),
+                                opts, {}, workers, &ws);
     ASSERT_EQ(ws.size(), workers);
     expect_worker_enum_split(ws, r.stats, "optimal");
   }

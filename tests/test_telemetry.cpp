@@ -14,6 +14,7 @@
 #include "lang/parser.hpp"
 #include "litmus/catalog.hpp"
 #include "mc/checker.hpp"
+#include "mc/parallel.hpp"
 #include "obs/telemetry.hpp"
 #include "util/clock.hpp"
 
@@ -257,6 +258,41 @@ TEST(Telemetry, ZeroOverheadContractWhenOff) {
   const mc::ExploreResult r = mc::explore(parsed.program, {}, {});
   EXPECT_TRUE(r.phases.empty());
   EXPECT_EQ(detail::tl_track, nullptr);
+}
+
+TEST(Telemetry, MultiWorkerHeartbeatsThroughEveryEngine) {
+  // Heartbeats from the work-stealing engines: with a 1 ns interval nearly
+  // every expanded item wins a beat, so the sampled per-worker counters
+  // are read while their owners keep writing them (the ThreadSanitizer CI
+  // leg runs this test). A snapshot never runs ahead of the final count.
+  struct CountingSink final : TelemetrySink {
+    std::size_t count = 0;
+    ProgressSnapshot last;
+    void on_snapshot(const ProgressSnapshot& snap) override {
+      ++count;
+      last = snap;
+    }
+  };
+  const auto parsed =
+      lang::parse_litmus(litmus::find_test("IRIW_ra").source);
+  for (mc::PorMode por : {mc::PorMode::kSourceSetsSleep,
+                          mc::PorMode::kOptimal, mc::PorMode::kSleepSets}) {
+    CountingSink sink;
+    Telemetry::Options topts;
+    topts.sink = &sink;
+    topts.heartbeat_ns = 1;
+    Telemetry tel(topts);
+    mc::ParallelOptions popts;
+    popts.workers = 4;
+    popts.explore.por = por;
+    popts.explore.telemetry = &tel;
+    const mc::OutcomeResult r =
+        mc::enumerate_outcomes_parallel(parsed.program, popts);
+    const char* mode = mc::por_mode_name(por);
+    ASSERT_GE(sink.count, 1u) << mode;
+    EXPECT_EQ(sink.last.workers.size(), 4u) << mode;
+    EXPECT_LE(sink.last.states, r.stats.states) << mode;
+  }
 }
 
 // --- Chrome trace exporter -----------------------------------------------------
