@@ -53,12 +53,14 @@ int main(int argc, char** argv) {
             << "  [" << invs.stats.to_string() << "]\n";
 
   // 3. Rule soundness sweep (optional; quadratic in variables).
+  bool rules_sound = true;
   if (cli.get_flag("rules")) {
     const vcgen::RuleSoundnessResult rules =
         vcgen::check_rule_soundness(prog, opts);
     std::cout << "Figure-4 rules: " << rules.applicable
               << " applicable instances over " << rules.transitions
               << " transitions, unsound: " << rules.unsound << "\n";
+    rules_sound = rules.sound();
   }
 
   // Negative control: relaxed turn assignment.
@@ -92,5 +94,7 @@ int main(int argc, char** argv) {
     std::cout << "counterexample:\n"
               << broken_r.counterexample.to_string(&broken.vars());
   }
-  return mutex.holds && invs.all_hold && !broken_r.holds ? 0 : 1;
+  const bool ok =
+      mutex.holds && invs.all_hold && rules_sound && !broken_r.holds;
+  return ok ? 0 : 1;
 }

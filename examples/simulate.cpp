@@ -6,6 +6,7 @@
 //   ./simulate [--seed N] [--steps N] [--program peterson|mp]
 #include <iostream>
 #include <random>
+#include <vector>
 
 #include "rc11/rc11.hpp"
 
@@ -61,14 +62,15 @@ int main(int argc, char** argv) {
   interp::StepOptions sopts;
   sopts.loop_bound = 2;
   interp::Config c = interp::initial_config(prog);
+  std::vector<interp::Step> enabled;
   const int steps = static_cast<int>(cli.get_int("steps"));
   for (int i = 0; i < steps; ++i) {
-    auto succs = interp::successors(c, sopts);
-    if (succs.empty()) {
+    interp::enumerate_steps(c, sopts, enabled);
+    if (enabled.empty()) {
       std::cout << (c.terminated() ? "terminated\n" : "blocked by bound\n");
       break;
     }
-    const auto& step = succs[rng() % succs.size()];
+    const interp::Step& step = enabled[rng() % enabled.size()];
     if (step.silent) {
       std::cout << "step " << i << ": t" << step.thread << " (silent)\n";
     } else {
@@ -76,7 +78,7 @@ int main(int argc, char** argv) {
                 << c11::to_string(step.action, &prog.vars())
                 << "  observing e" << step.observed << "\n";
     }
-    c = step.next;
+    (void)interp::apply_step(c, step, sopts);
     if (!step.silent) print_observability(c);
   }
   std::cout << "\nfinal execution:\n"

@@ -4,7 +4,8 @@
 #include <sstream>
 #include <vector>
 
-#include "mc/explorer.hpp"
+#include "interp/preexec.hpp"
+#include "mc/statespace.hpp"
 
 namespace rc11::axiomatic {
 
@@ -118,33 +119,64 @@ class CandidateBuilder {
   std::vector<VarWrites> vars_;
 };
 
+/// Cap on the configurations the pre-execution search visits, a safety
+/// valve against runaway programs; hitting it marks the enumeration
+/// truncated.
+constexpr std::size_t kMaxPreExecutionStates = 5'000'000;
+
+/// A configuration of the pre-execution search with its ==>_PE successors.
+struct PeFrame {
+  interp::Config config;
+  std::vector<interp::ConfigStep> steps;
+  std::size_t next = 0;
+};
+
 }  // namespace
 
 EnumerateStats enumerate_candidates(const lang::Program& program,
                                     const EnumerateOptions& options,
                                     const CandidateCallback& callback) {
   EnumerateStats stats;
-  bool stopped = false;
+  const std::vector<lang::Value> domain = interp::value_domain(program);
 
-  mc::ExploreOptions explore_opts;
-  explore_opts.step = options.step;
-  explore_opts.pre_execution = true;
-
-  mc::Visitor visitor;
-  visitor.on_final = [&](const interp::Config& c) {
+  // Builds the candidates of each unique terminated pre-execution; false
+  // stops the search.
+  const auto visit = [&](const interp::Config& c) {
+    if (!c.terminated()) return true;
     if (++stats.pre_executions > options.max_pre_executions) {
       stats.truncated = true;
       return false;
     }
-    CandidateBuilder builder(c.exec, options, stats, callback);
-    if (!builder.run()) {
-      stopped = true;
-      return false;
-    }
-    return true;
+    return CandidateBuilder(c.exec, options, stats, callback).run();
   };
-  (void)mc::explore(program, explore_opts, visitor);
-  (void)stopped;
+
+  // Depth-first search of ==>_PE from the initial configuration, merging
+  // configurations by fingerprint.
+  mc::SeenSet seen;
+  std::size_t states = 1;
+  std::vector<PeFrame> stack(1);
+  stack[0].config = interp::initial_config(program);
+  (void)seen.insert(stack[0].config.fingerprint());
+  if (!visit(stack[0].config)) return stats;
+  stack[0].steps = interp::pe_successors(stack[0].config, domain, options.step);
+  while (!stack.empty()) {
+    PeFrame& top = stack.back();
+    if (top.next == top.steps.size()) {
+      stack.pop_back();
+      continue;
+    }
+    interp::Config next = std::move(top.steps[top.next++].next);
+    if (!seen.insert(next.fingerprint()).inserted) continue;
+    if (states >= kMaxPreExecutionStates) {
+      stats.truncated = true;
+      return stats;
+    }
+    ++states;
+    if (!visit(next)) return stats;
+    std::vector<interp::ConfigStep> steps =
+        interp::pe_successors(next, domain, options.step);
+    stack.push_back({std::move(next), std::move(steps)});
+  }
   return stats;
 }
 

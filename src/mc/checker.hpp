@@ -72,8 +72,7 @@ struct OutcomeResult {
                                                ExploreOptions options = {});
 
 /// Canonical-form fingerprints of every reachable terminated
-/// configuration's execution. With `pre_execution`, fingerprints of the
-/// ==>_PE semantics instead.
+/// configuration's execution.
 [[nodiscard]] std::set<util::Fingerprint> collect_final_executions(
     const lang::Program& program, ExploreOptions options = {});
 

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "mc/dpor.hpp"
-#include "mc/independence.hpp"
+#include "mc/harness.hpp"
 
 namespace rc11::mc {
 
@@ -27,194 +27,16 @@ void emit_heartbeat(const ExploreOptions& options, const ExploreStats& stats,
 }
 
 // ===========================================================================
-// Materialized DFS (from-scratch oracle path).
-//
-// Kept for the cases the in-place spine cannot serve: visitors that observe
-// ConfigStep.next (on_transition materializes every successor by contract)
-// and the pre-execution semantics (whose steps are built by pe_successors).
-// Everything else goes through the incremental spine below.
-// ===========================================================================
-
-struct MatFrame {
-  interp::Config config;
-  std::vector<interp::ConfigStep> steps;
-  std::vector<StepSig> sigs;  ///< sig per step (only filled when por is on)
-  std::size_t next_step = 0;
-  TraceEntry incoming;  // transition that entered this frame
-  StateId id = kNoState;
-  SleepSet sleep;
-};
-
-std::vector<interp::ConfigStep> expand(const interp::Config& c,
-                                       const ExploreOptions& options) {
-  if (options.pre_execution) {
-    return interp::pe_successors(c, interp::value_domain(*c.program),
-                                 options.step);
-  }
-  return interp::successors(c, options.step);
-}
-
-ExploreResult explore_materialized(const interp::Config& start,
-                                   const ExploreOptions& options,
-                                   const Visitor& visitor) {
-  const bool por = options.por == PorMode::kSleepSets;
-
-  ExploreResult result;
-  SeenSet seen;
-  // Sleep set each visited state was last explored with (por only). A
-  // revisit with a sleep set that is NOT a superset of the stored one may
-  // enable transitions pruned before, so the state is re-expanded with the
-  // intersection (Godefroid's state-caching rule); the stored set shrinks
-  // strictly on every re-expansion, so the search terminates.
-  std::unordered_map<StateId, SleepSet> sleep_store;
-
-  auto build_trace = [](const std::vector<MatFrame>& stack) {
-    Trace t;
-    // Frame 0 is the initial configuration; its incoming entry is empty.
-    for (std::size_t i = 1; i < stack.size(); ++i) {
-      t.entries.push_back(stack[i].incoming);
-    }
-    return t;
-  };
-
-  std::vector<MatFrame> stack;
-
-  auto visit_state = [&](const interp::Config& c) -> bool {
-    ++result.stats.states;
-    if (options.telemetry != nullptr && options.telemetry->heartbeat_due()) {
-      emit_heartbeat(options, result.stats, stack.size(), seen);
-    }
-    if (visitor.on_state && !visitor.on_state(c)) return false;
-    if (c.terminated()) {
-      ++result.stats.finals;
-      if (visitor.on_final && !visitor.on_final(c)) return false;
-    }
-    return true;
-  };
-
-  auto finish_stats = [&] {
-    result.stats.peak_seen_bytes = options.dedup ? seen.bytes() : 0;
-    // With POR the per-state stored sleep sets are part of the dedup
-    // footprint; count them so the memory report stays honest.
-    for (const auto& [id, sleep] : sleep_store) {
-      (void)id;
-      result.stats.peak_seen_bytes +=
-          sizeof(std::pair<const StateId, SleepSet>) + 2 * sizeof(void*) +
-          sleep.capacity() * sizeof(StepSig);
-    }
-  };
-
-  auto prepare_frame = [&](MatFrame& f) {
-    {
-      obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-      f.steps = expand(f.config, options);
-    }
-    if (por) sigs_of(f.steps, f.config.exec, f.sigs, f.config.has_sc_fence);
-  };
-
-  {
-    MatFrame root;
-    root.config = start;
-    if (options.dedup) {
-      obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-      root.id = seen.insert(root.config.fingerprint()).id;
-    }
-    if (!visit_state(root.config)) {
-      result.aborted = true;
-      finish_stats();
-      return result;
-    }
-    prepare_frame(root);
-    if (por) sleep_store[root.id] = {};
-    stack.push_back(std::move(root));
-  }
-
-  while (!stack.empty()) {
-    result.stats.max_depth = std::max(result.stats.max_depth, stack.size());
-    MatFrame& top = stack.back();
-    if (top.next_step >= top.steps.size()) {
-      stack.pop_back();
-      continue;
-    }
-    const std::size_t step_index = top.next_step++;
-    if (por && sleep_contains(top.sleep, top.sigs[step_index])) {
-      ++result.stats.por_pruned;
-      continue;
-    }
-    interp::ConfigStep step = std::move(top.steps[step_index]);
-    ++result.stats.transitions;
-
-    if (visitor.on_transition && !visitor.on_transition(top.config, step)) {
-      result.aborted = true;
-      result.abort_trace = build_trace(stack);
-      result.abort_trace.entries.push_back(make_entry(step));
-      finish_stats();
-      return result;
-    }
-
-    MatFrame frame;
-    if (por) frame.sleep = successor_sleep(top.sleep, top.sigs, step_index);
-    bool revisit = false;
-    if (options.dedup) {
-      InsertResult ins;
-      {
-        obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-        ins = seen.insert(step.next.fingerprint(), top.id,
-                          static_cast<std::uint32_t>(step_index));
-      }
-      frame.id = ins.id;
-      if (!ins.inserted) {
-        if (!por) {
-          ++result.stats.merged;
-          continue;
-        }
-        SleepSet& stored = sleep_store[ins.id];
-        if (is_subset(stored, frame.sleep)) {
-          // Already explored at least this much: safe to merge.
-          ++result.stats.merged;
-          continue;
-        }
-        // Previously pruned transitions may now be required: re-expand
-        // with the (strictly smaller) intersection.
-        stored = intersection(stored, frame.sleep);
-        frame.sleep = stored;
-        revisit = true;
-      } else if (por) {
-        sleep_store[ins.id] = frame.sleep;
-      }
-    }
-
-    if (!revisit && result.stats.states >= options.max_states) {
-      result.stats.truncated = true;
-      finish_stats();
-      return result;
-    }
-
-    frame.incoming = make_entry(step);
-    frame.config = std::move(step.next);
-    if (!revisit && !visit_state(frame.config)) {
-      result.aborted = true;
-      result.abort_trace = build_trace(stack);
-      result.abort_trace.entries.push_back(frame.incoming);
-      finish_stats();
-      return result;
-    }
-    prepare_frame(frame);
-    stack.push_back(std::move(frame));
-  }
-  finish_stats();
-  return result;
-}
-
-// ===========================================================================
-// Incremental spine DFS (the hot path).
+// Incremental spine DFS.
 //
 // One Config is mutated in place along the DFS spine: descending applies
 // the chosen step (apply_step), backtracking undoes it (undo_step). No
 // successor is ever materialized — a candidate is applied, fingerprinted,
 // and immediately undone when the seen set merges it. Frames are pooled
 // (the stack never shrinks its storage), so the per-node successor buffers
-// are reused across the whole search.
+// are reused across the whole search. A visitor observing transitions
+// (kObserve) costs one copy of the pre-state per transition; the flag is a
+// template parameter so runs without on_transition keep a branch-free loop.
 // ===========================================================================
 
 struct SpineFrame {
@@ -230,6 +52,7 @@ struct SpineFrame {
   interp::StepUndo undo;  ///< undo record of the incoming transition
 };
 
+template <bool kObserve>
 ExploreResult explore_incremental(const interp::Config& start,
                                   const ExploreOptions& options,
                                   const Visitor& visitor) {
@@ -241,6 +64,7 @@ ExploreResult explore_incremental(const interp::Config& start,
   const interp::StepEnumCounters enum_base = interp::step_enum_counters();
 
   interp::Config cur = start;  // the spine configuration
+  interp::Config pre;          // pre-state copy shown to on_transition
 
   // Frame pool: frames at depth <= high-water mark keep their buffers.
   std::vector<SpineFrame> stack;
@@ -337,10 +161,21 @@ ExploreResult explore_incremental(const interp::Config& start,
     // frame() may grow the pool and invalidate `top` — from here on the
     // current frame is re-fetched as frame(depth).
     SpineFrame& nf = frame(depth + 1);
+    const interp::Step& step = frame(depth).steps[step_index];
+    if constexpr (kObserve) pre = cur;
+    c11::EventId event = c11::kNoEvent;
     {
       obs::ScopedPhase apply_phase(obs::Phase::kApply);
-      (void)interp::apply_step(cur, frame(depth).steps[step_index],
-                               options.step, nf.undo);
+      event = interp::apply_step(cur, step, options.step, nf.undo);
+    }
+    if constexpr (kObserve) {
+      if (!observe_transition(visitor.on_transition, pre, cur, step, event)) {
+        result.aborted = true;
+        result.abort_trace = build_trace(depth);
+        result.abort_trace.entries.push_back(make_entry(step));
+        finish_stats();
+        return result;
+      }
     }
 
     nf.id = kNoState;
@@ -390,8 +225,7 @@ ExploreResult explore_incremental(const interp::Config& start,
     if (!revisit && !visit_state(cur)) {
       result.aborted = true;
       result.abort_trace = build_trace(depth);
-      result.abort_trace.entries.push_back(
-          make_entry(frame(depth).steps[step_index]));
+      result.abort_trace.entries.push_back(make_entry(step));
       finish_stats();
       return result;
     }
@@ -440,13 +274,10 @@ std::optional<PorMode> por_mode_from_name(std::string_view name) {
 ExploreResult explore_from(const interp::Config& start,
                            const ExploreOptions& options,
                            const Visitor& visitor) {
-  // The DPOR modes run on the tree-engine harness (dpor.hpp).
+  // The DPOR modes run on the tree-engine harness (dpor.hpp); the others
+  // on the apply/undo spine.
   if (is_dpor(options.por)) return explore_tree(start, options, visitor);
-  // on_transition contracts a materialized ConfigStep per transition, and
-  // the pre-execution semantics enumerates through pe_successors; both go
-  // through the copying oracle path. Everything else runs on the
-  // apply/undo spine.
-  //
+
   // Telemetry: the sequential engines run under a single WorkerScope (track
   // 0); the profile delta against the run-start baseline supports a shared
   // Telemetry across several explorations (e.g. a litmus catalogue tour).
@@ -455,9 +286,9 @@ ExploreResult explore_from(const interp::Config& start,
   ExploreResult result;
   {
     obs::WorkerScope obs_scope(options.telemetry, 0);
-    result = visitor.on_transition || options.pre_execution
-                 ? explore_materialized(start, options, visitor)
-                 : explore_incremental(start, options, visitor);
+    result = visitor.on_transition
+                 ? explore_incremental<true>(start, options, visitor)
+                 : explore_incremental<false>(start, options, visitor);
   }
   if (options.telemetry != nullptr) {
     result.phases = options.telemetry->profile() - profile_base;

@@ -19,7 +19,6 @@
 #include <string_view>
 
 #include "interp/config.hpp"
-#include "interp/preexec.hpp"
 #include "mc/statespace.hpp"
 #include "mc/trace.hpp"
 #include "obs/telemetry.hpp"
@@ -116,10 +115,6 @@ struct ExploreOptions {
   /// count unique states.
   bool dedup = true;
 
-  /// Explore with the pre-execution semantics ==>_PE instead of ==>_RA
-  /// (reads branch over the value domain; rf/mo stay empty).
-  bool pre_execution = false;
-
   /// Partial-order reduction mode; see PorMode. All modes preserve
   /// reachability verdicts, final-state fingerprints and race reports
   /// (differentially asserted in tests/test_dpor.cpp); pruned transitions
@@ -142,6 +137,9 @@ struct Visitor {
   std::function<bool(const interp::Config&)> on_state;
 
   /// Called for every generated transition, before dedup of the target.
+  /// The stateful explorers step one configuration in place, so an
+  /// observed transition costs them one Config copy (the pre-state); runs
+  /// without this callback take none.
   std::function<bool(const interp::Config&, const interp::ConfigStep&)>
       on_transition;
 

@@ -20,6 +20,9 @@
 //    (dpor.cpp) and tree::Optimal (optimal.cpp). explore_tree (dpor.hpp)
 //    picks one from ExploreOptions::por.
 //
+// observe_transition, the ConfigStep view on_transition receives, is
+// shared by all three explorers (spine, parallel cursors, tree engines).
+//
 // Lock order: a node's `mu` before `pool_mu`. `pool_mu` is a leaf lock,
 // held only for one free-list push or pop. A node's last release scrubs it
 // and resets its spine link *before* taking `pool_mu`: the cascade up the
@@ -80,6 +83,29 @@ inline std::size_t sample(std::size_t& counter) {
 template <class T>
 bool contains(const std::vector<T>& v, const T& x) {
   return std::find(v.begin(), v.end(), x) != v.end();
+}
+
+/// Shows on_transition the step `s` that took `pre` to `post`, appending
+/// `event` (kNoEvent when silent), as the ConfigStep the Visitor contract
+/// promises. `post` is moved into the view and back, so the callback costs
+/// no copy beyond the caller's `pre`. Returns the callback's verdict.
+inline bool observe_transition(
+    const decltype(Visitor::on_transition)& on_transition,
+    const interp::Config& pre, interp::Config& post, const interp::Step& s,
+    c11::EventId event) {
+  interp::ConfigStep view;
+  view.thread = s.thread;
+  view.silent = s.silent;
+  if (!s.silent) {
+    view.event = event;
+    view.observed = s.observed;
+    view.action = post.exec.event(event).action;
+  }
+  view.loop_unfold = s.loop_unfold;
+  view.next = std::move(post);
+  const bool keep = on_transition(pre, view);
+  post = std::move(view.next);
+  return keep;
 }
 
 // --- The work-stealing core -------------------------------------------------
@@ -246,14 +272,11 @@ struct NodeData {
   interp::Step in_step{};  ///< incoming step (depth > 0); trace entries are
                            ///< rendered lazily (make_entry allocates)
   interp::Config config;
-  /// All successors, by thread ascending. The RA path enumerates
-  /// signature-only steps (a child's configuration is made by cloning
-  /// this node's config — which carries its warm incremental cache — and
-  /// applying the step); the pre-execution mode keeps the materialized
-  /// pe_successors steps instead.
+  /// All successors, by thread ascending, as signature-only steps: a
+  /// child's configuration is made by cloning this node's config — which
+  /// carries its warm incremental cache — and applying the step.
   std::vector<interp::Step> steps;
-  std::vector<interp::ConfigStep> pe_steps;  ///< pre-execution mode only
-  std::vector<StepSig> sigs;                 ///< sig per step
+  std::vector<StepSig> sigs;  ///< sig per step
   /// hb_row[i] = 1 iff spine event e_i happens-before this node's incoming
   /// event e_depth (mc/independence.hpp build_hb_row): race detection
   /// builds one new row per transition instead of the whole closure.
@@ -347,7 +370,6 @@ void pooled_dispose(Node<P>* p) {
   p->in_sig = {};
   p->in_step = {};
   p->steps.clear();
-  p->pe_steps.clear();
   p->sigs.clear();
   p->hb_row.clear();
   p->redundant = false;
@@ -357,18 +379,12 @@ void pooled_dispose(Node<P>* p) {
   eng.pool.release(p);
 }
 
-/// Fills steps/sigs of a freshly built node. On the RA path this only
-/// enumerates signatures (reserve + reuse, no Config copies).
+/// Fills steps/sigs of a freshly built node: signatures only (reserve +
+/// reuse, no Config copies).
 inline void prepare_node(NodeData& n, const ExploreOptions& options) {
   obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-  if (options.pre_execution) {
-    n.pe_steps = interp::pe_successors(
-        n.config, interp::value_domain(*n.config.program), options.step);
-    sigs_of(n.pe_steps, n.config.exec, n.sigs, n.config.has_sc_fence);
-  } else {
-    interp::enumerate_steps(n.config, options.step, n.steps);
-    sigs_of(n.steps, n.config.exec, n.sigs, n.config.has_sc_fence);
-  }
+  interp::enumerate_steps(n.config, options.step, n.steps);
+  sigs_of(n.steps, n.config.exec, n.sigs, n.config.has_sc_fence);
 }
 
 /// The trace from the root to `n` (the path the spine encodes). Entries
@@ -458,8 +474,7 @@ inline c11::ThreadId pick_first(const NodeData& n) {
 /// a transition every policy shares. Counts the transition, materializes
 /// the child configuration (copy-assign the parent's config into the
 /// recycled node and apply in place — the only Config copy a transition
-/// costs; pre-execution steps arrive materialized and are moved out, each
-/// runs once), shows it to on_transition, has the policy build the
+/// costs), shows it to on_transition, has the policy build the
 /// child's hb row (P::incoming_row), links the child into the spine,
 /// probes the seen set (unique-state accounting, max_states, on_state /
 /// on_final) and enumerates the child's steps. Returns false when the
@@ -473,43 +488,21 @@ bool materialize_child(Engine<P>& eng, std::size_t me, const NodePtr<P>& self,
   eng.transitions.fetch_add(1, std::memory_order_relaxed);
   if (n.redundant) bump(my.redundant_transitions);
 
-  interp::Step in_step;
-  if (eng.options.pre_execution) {
-    const interp::ConfigStep& ps = n.pe_steps[i];
-    in_step.thread = ps.thread;
-    in_step.silent = ps.silent;
-    in_step.loop_unfold = ps.loop_unfold;
-    in_step.action = ps.action;
-    in_step.observed = ps.observed;
-    child.config = std::move(n.pe_steps[i].next);
-  } else {
+  const interp::Step& in_step = n.steps[i];
+  c11::EventId event = c11::kNoEvent;
+  {
     obs::ScopedPhase apply_phase(obs::Phase::kApply);
-    in_step = n.steps[i];
     child.config = n.config;
-    (void)interp::apply_step(child.config, n.steps[i], eng.options.step);
+    event = interp::apply_step(child.config, in_step, eng.options.step);
   }
 
-  if (eng.visitor.on_transition) {
-    // The visitor contract hands over a materialized ConfigStep; build a
-    // view around the child configuration (moved in and back out).
-    interp::ConfigStep view;
-    view.thread = sig.thread;
-    view.silent = sig.silent;
-    if (!sig.silent) {
-      view.event = static_cast<c11::EventId>(child.config.exec.size() - 1);
-      view.observed = in_step.observed;  // frame tag (sig is canonical)
-      view.action = child.config.exec.event(view.event).action;
-    }
-    view.loop_unfold = in_step.loop_unfold;
-    view.next = std::move(child.config);
-    const bool keep = eng.visitor.on_transition(n.config, view);
-    child.config = std::move(view.next);
-    if (!keep) {
-      Trace t = spine_trace(&n);
-      t.entries.push_back(make_entry(in_step));
-      eng.record_abort(std::move(t));
-      return false;
-    }
+  if (eng.visitor.on_transition &&
+      !observe_transition(eng.visitor.on_transition, n.config, child.config,
+                          in_step, event)) {
+    Trace t = spine_trace(&n);
+    t.entries.push_back(make_entry(in_step));
+    eng.record_abort(std::move(t));
+    return false;
   }
 
   P::incoming_row(eng, me, self, sig, child.hb_row);

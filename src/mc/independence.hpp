@@ -103,12 +103,9 @@ struct StepSig {
 /// Builds a signature from a step and the canonical ids of the frame it
 /// was enumerated in (interp::canonical_event_ids of the *source*
 /// configuration — the observed write exists there by construction).
-/// ConfigStep and Step expose the same identity fields; one extraction
-/// keeps the materialized and incremental paths' signatures identical.
-template <typename S>
-[[nodiscard]] StepSig sig_of(const S& s,
-                             const std::vector<interp::CanonicalEventId>& cids,
-                             bool sc_coupled = false) {
+[[nodiscard]] inline StepSig sig_of(
+    const interp::Step& s, const std::vector<interp::CanonicalEventId>& cids,
+    bool sc_coupled = false) {
   StepSig sig;
   sig.thread = s.thread;
   sig.silent = s.silent;
@@ -170,14 +167,16 @@ template <typename S>
 /// `exec` is the execution the steps were enumerated from; its canonical
 /// ids are computed once (O(events), reusable scratch) and shared by all
 /// signatures of the frame.
-template <typename StepVec>
-inline void sigs_of(const StepVec& steps, const c11::Execution& exec,
-                    std::vector<StepSig>& sigs, bool sc_coupled = false) {
+inline void sigs_of(const std::vector<interp::Step>& steps,
+                    const c11::Execution& exec, std::vector<StepSig>& sigs,
+                    bool sc_coupled = false) {
   thread_local std::vector<interp::CanonicalEventId> cids;
   interp::canonical_event_ids(exec, cids);
   sigs.clear();
   sigs.reserve(steps.size());
-  for (const auto& s : steps) sigs.push_back(sig_of(s, cids, sc_coupled));
+  for (const interp::Step& s : steps) {
+    sigs.push_back(sig_of(s, cids, sc_coupled));
+  }
 }
 
 // --- Trace happens-before over step signatures -------------------------------

@@ -535,16 +535,10 @@ bool execute_step(Eng& eng, std::size_t me, const ONodePtr& self,
   return true;
 }
 
-/// The loop-unfold marker of step i at n, for either semantics.
-bool loop_unfold_at(const Eng& eng, const ONode& n, std::size_t i) {
-  return eng.options.pre_execution ? n.pe_steps[i].loop_unfold
-                                   : n.steps[i].loop_unfold;
-}
-
 /// The wakeup form of step i at n: its (canonically named) signature plus
 /// the unfold marker. Never speculative — the step is enabled here.
-WakeupStep wakeup_step_at(const Eng& eng, const ONode& n, std::size_t i) {
-  return WakeupStep{n.sigs[i], loop_unfold_at(eng, n, i), false};
+WakeupStep wakeup_step_at(const ONode& n, std::size_t i) {
+  return WakeupStep{n.sigs[i], n.steps[i].loop_unfold, false};
 }
 
 /// Expands a free-scheduling item: runs every awake transition of the
@@ -568,7 +562,7 @@ void expand_free(Eng& eng, std::size_t me, const ONodePtr& node,
       prefix.assign(n.executed.begin(), n.executed.end());
       n.executed.push_back(sig);
       n.claimed.push_back(child.weak());
-      n.wut.add_executed(wakeup_step_at(eng, n, i));
+      n.wut.add_executed(wakeup_step_at(n, i));
     }
     if (!execute_step(eng, me, node, i, std::move(child), WakeupTree{},
                       std::move(prefix))) {
@@ -596,9 +590,7 @@ void expand_branch(Eng& eng, std::size_t me, const ONodePtr& node,
     std::lock_guard lock(n.mu);
     if (n.wut.node(branch).taken) return;  // defensive double-schedule guard
     const WakeupStep bstep = n.wut.node(branch).step;
-    i = eng.options.pre_execution
-            ? find_wakeup_step(bstep, n.sigs, n.pe_steps)
-            : find_wakeup_step(bstep, n.sigs, n.steps);
+    i = find_wakeup_step(bstep, n.sigs, n.steps);
     if (i != kNoStep && contains(n.executed, n.sigs[i])) {
       // A sibling item already claimed exactly this step (a speculative
       // candidate and a free-scheduled or exact branch can name the same
@@ -690,7 +682,7 @@ void expand_branch(Eng& eng, std::size_t me, const ONodePtr& node,
     if (eng.stop.load(std::memory_order_acquire)) return;
     if (sleep_contains(n.sleep, n.sigs[j])) continue;
     if (sibling_class_doomed(n, claimed_now, j)) continue;
-    const WakeupSequence sib{wakeup_step_at(eng, n, j)};
+    const WakeupSequence sib{wakeup_step_at(n, j)};
     (void)insert_sequence(eng, me, node, sib);
   }
 }

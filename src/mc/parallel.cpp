@@ -5,6 +5,7 @@
 #include <cassert>
 #include <functional>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -80,6 +81,7 @@ struct Cursor {
   interp::Config config;
   std::vector<std::uint32_t> path;
   std::vector<interp::StepUndo> undos;
+  interp::Config pre;  ///< pre-state copy shown to on_transition
 };
 
 /// Moves `cur` to the state `item` denotes: undo back to the longest common
@@ -123,14 +125,15 @@ void position(ParallelRun& run, Cursor& cur, const WorkItem& item) {
 /// mode, transitions slept on are pruned and each pushed item carries its
 /// successor sleep set.
 ///
-/// The hot path steps the worker's cursor configuration *in place*
-/// (apply_step / undo_step): a successor is applied, fingerprinted, and
-/// undone; fresh states are pushed as path items (parent path + step
-/// index) with no Config attached, so the handoff itself copies nothing.
-/// The popping worker re-derives the state via position() — one apply in
-/// the LIFO common case, a suffix replay after an actual deque steal.
-/// Visitors observing transitions (on_transition materializes a ConfigStep
-/// per edge) fall back to the copying oracle path.
+/// The worker's cursor configuration is stepped *in place* (apply_step /
+/// undo_step): a successor is applied, fingerprinted, and undone; fresh
+/// states are pushed as path items (parent path + step index) with no
+/// Config attached, so the handoff itself copies nothing. The popping
+/// worker re-derives the state via position() — one apply in the LIFO
+/// common case, a suffix replay after an actual deque steal. Observing
+/// transitions (kObserve, the on_transition callback) adds one copy of the
+/// pre-state per transition; without it the loop carries no check.
+template <bool kObserve>
 void process(ParallelRun& run, std::size_t me, Cursor& cur,
              const WorkItem& item) {
   WorkerStats& ws = run.worker_stats[me];
@@ -166,73 +169,6 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur,
     return w;
   };
 
-  if (run.on_transition) {
-    // Materialized fallback: the callback observes ConfigStep.next.
-    auto steps = [&] {
-      obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-      return interp::successors(cur.config, run.options.step);
-    }();
-    std::vector<StepSig> sigs;
-    if (run.por_sleep) sigs_of(steps, cur.config.exec, sigs, cur.config.has_sc_fence);
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      if (run.por_sleep && sleep_contains(item.sleep, sigs[i])) {
-        ++my.por_pruned;
-        continue;
-      }
-      run.transitions.fetch_add(1, std::memory_order_relaxed);
-      if (!run.on_transition(cur.config, steps[i])) {
-        run.record_hit(item.id, static_cast<std::int64_t>(i));
-        return;
-      }
-      const util::Fingerprint fp = steps[i].next.fingerprint();
-      if (!run.por_sleep) {
-        InsertResult ins;
-        {
-          obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-          ins = run.seen.insert(fp, item.id, static_cast<std::uint32_t>(i));
-        }
-        if (!ins.inserted) {
-          ++my.merged;
-          bump(ws.merged);
-          continue;
-        }
-        bump(ws.enqueued);
-        run.push(me, child_item(ins.id, i));
-        continue;
-      }
-      SleepSet succ_sleep = successor_sleep(item.sleep, sigs, i);
-      const std::size_t shard =
-          fp.shard_bits() & (ParallelRun::kSleepShards - 1);
-      std::lock_guard sleep_lock(run.sleep_mutexes[shard]);
-      InsertResult ins;
-      {
-        obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-        ins = run.seen.insert(fp, item.id, static_cast<std::uint32_t>(i));
-      }
-      if (ins.inserted) {
-        run.sleep_store[shard][ins.id] = succ_sleep;
-        bump(ws.enqueued);
-        WorkItem w = child_item(ins.id, i);
-        w.sleep = std::move(succ_sleep);
-        run.push(me, std::move(w));
-        continue;
-      }
-      SleepSet& stored = run.sleep_store[shard][ins.id];
-      if (is_subset(stored, succ_sleep)) {
-        ++my.merged;
-        bump(ws.merged);
-        continue;
-      }
-      stored = intersection(stored, succ_sleep);
-      bump(ws.enqueued);
-      WorkItem w = child_item(ins.id, i);
-      w.sleep = stored;
-      w.revisit = true;
-      run.push(me, std::move(w));
-    }
-    return;
-  }
-
   // In-place expansion (per-worker buffers reused across items).
   thread_local std::vector<interp::Step> steps;
   thread_local std::vector<StepSig> sigs;
@@ -249,9 +185,19 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur,
       continue;
     }
     run.transitions.fetch_add(1, std::memory_order_relaxed);
+    if constexpr (kObserve) cur.pre = cur.config;
+    c11::EventId event = c11::kNoEvent;
     {
       obs::ScopedPhase apply_phase(obs::Phase::kApply);
-      (void)interp::apply_step(cur.config, steps[i], run.options.step, undo);
+      event = interp::apply_step(cur.config, steps[i], run.options.step, undo);
+    }
+    if constexpr (kObserve) {
+      if (!observe_transition(run.on_transition, cur.pre, cur.config,
+                              steps[i], event)) {
+        interp::undo_step(cur.config, undo);
+        run.record_hit(item.id, static_cast<std::int64_t>(i));
+        return;
+      }
     }
     const util::Fingerprint fp = cur.config.fingerprint();
     if (!run.por_sleep) {
@@ -323,18 +269,25 @@ ExploreStats run_parallel(const lang::Program& program, ParallelRun& run) {
   run.push(0, WorkItem{root.id, {}, {}, false});
 
   run.run_workers([&run](std::size_t me) {
-    Cursor cur{interp::initial_config(*run.program), {}, {}};
-    run.worker_loop(me, [&](const WorkItem& item) {
-      process(run, me, cur, item);
-    });
+    Cursor cur{interp::initial_config(*run.program), {}, {}, {}};
+    const auto loop = [&](auto observe) {
+      run.worker_loop(me, [&](const WorkItem& item) {
+        process<decltype(observe)::value>(run, me, cur, item);
+      });
+    };
+    if (run.on_transition) {
+      loop(std::true_type{});
+    } else {
+      loop(std::false_type{});
+    }
   });
   return run.merged_stats();
 }
 
 /// Rebuilds the path root -> `leaf` (plus the recorded extra step, when
 /// the hit was a transition) from the parent records and replays it
-/// through successors(), which enumerates steps deterministically — the
-/// recorded step indices select the same transitions the explorer took.
+/// through enumerate_steps, which is deterministic — the recorded step
+/// indices select the same transitions the explorer took.
 /// `final_config`, when non-null, receives the configuration the trace
 /// leads to.
 Trace reconstruct_trace(const ParallelRun& run, const lang::Program& program,

@@ -7,7 +7,7 @@
 // workers share one fingerprint table (ConcurrentSeenSet) whose
 // parent-pointer records — (parent StateId, successor index) per state —
 // let the checkers reconstruct a real counterexample / witness trace after
-// the fact by deterministically replaying successors() along the parent
+// the fact by deterministically replaying enumerate_steps along the parent
 // chain. Per-worker statistics (states processed, steals, enqueues) are
 // reported through ParallelRunInfo.
 //
@@ -42,9 +42,8 @@ namespace rc11::mc {
 
 struct ParallelOptions {
   /// Note: the parallel explorer always deduplicates in the non-DPOR modes
-  /// (the parent-pointer records require unique states) and only runs the
-  /// ==>_RA semantics, so explore.dedup and explore.pre_execution are
-  /// ignored; use the sequential explorer for those ablations.
+  /// (the parent-pointer records require unique states), so explore.dedup
+  /// is ignored; use the sequential explorer for that ablation.
   /// explore.por is honoured — see the file comment.
   ExploreOptions explore;
   std::size_t workers = 4;
@@ -56,8 +55,8 @@ struct ParallelRunInfo {
 
 /// Parallel version of check_invariant. Returns a real counterexample
 /// trace, reconstructed from the seen set's parent pointers (violating
-/// state -> root) and replayed through successors(); when several workers
-/// race to a violation, the first one reported wins.
+/// state -> root) and replayed through enumerate_steps; when several
+/// workers race to a violation, the first one reported wins.
 [[nodiscard]] InvariantResult check_invariant_parallel(
     const lang::Program& program, const ConfigPredicate& invariant,
     const ParallelOptions& options = {}, ParallelRunInfo* info = nullptr);

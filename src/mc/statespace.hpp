@@ -8,7 +8,7 @@
 // StateRecord carrying its fingerprint plus a parent pointer (predecessor
 // StateId and the index of the successor step that produced it), from which
 // both the sequential and the work-stealing parallel explorer reconstruct
-// counterexample traces by deterministic replay (successors() enumerates
+// counterexample traces by deterministic replay (enumerate_steps lists
 // steps in a fixed order).
 //
 // StateIds are 64-bit and records live in a *paged* store (a root array of
@@ -130,7 +130,7 @@ using StateId = std::uint64_t;
 inline constexpr StateId kNoState = ~StateId{0};
 
 /// Per-state record: identity plus the incoming edge used for trace
-/// reconstruction (`step` indexes into successors(parent)).
+/// reconstruction (`step` indexes into enumerate_steps(parent)).
 struct StateRecord {
   util::Fingerprint fp;
   StateId parent = kNoState;

@@ -21,13 +21,7 @@ std::string Trace::to_string(const c11::VarTable* vars) const {
   return os.str();
 }
 
-namespace {
-
-// ConfigStep and Step expose the same descriptive fields; one rendering
-// keeps the materialized and incremental paths' entries byte-identical
-// (replay_trace matches on the rendered note).
-template <typename S>
-TraceEntry entry_of(const S& step) {
+TraceEntry make_entry(const interp::Step& step) {
   TraceEntry e;
   e.thread = step.thread;
   e.silent = step.silent;
@@ -40,19 +34,11 @@ TraceEntry entry_of(const S& step) {
   return e;
 }
 
-}  // namespace
-
-TraceEntry make_entry(const interp::ConfigStep& step) {
-  return entry_of(step);
-}
-
-TraceEntry make_entry(const interp::Step& step) { return entry_of(step); }
-
 std::optional<interp::Config> replay_trace(const lang::Program& program,
                                            const Trace& trace,
                                            const interp::StepOptions& opts) {
-  // Replays through the incremental engine (the same path the explorers
-  // take); entries match enumerate_steps signatures directly.
+  // Replays through the incremental engine (the path the explorers take);
+  // entries match enumerate_steps signatures directly.
   interp::Config c = interp::initial_config(program);
   std::vector<interp::Step> steps;
   for (const TraceEntry& entry : trace.entries) {

@@ -28,12 +28,8 @@ struct Trace {
       const c11::VarTable* vars = nullptr) const;
 };
 
-/// Builds a trace entry from an interpreted step.
-[[nodiscard]] TraceEntry make_entry(const interp::ConfigStep& step);
-
-/// Same rendering for the incremental engine's signature-only steps (the
-/// two produce identical entries for the same transition, so traces replay
-/// across both paths).
+/// Builds a trace entry from an enumerated step (replay_trace matches
+/// entries on this rendering).
 [[nodiscard]] TraceEntry make_entry(const interp::Step& step);
 
 /// Replays a trace from the program's initial configuration by matching

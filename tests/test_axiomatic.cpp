@@ -127,5 +127,60 @@ TEST(Enumerate, RespectsCandidateCap) {
   EXPECT_LE(seen, 2u);
 }
 
+// --- Exact-counter golden table for the enumerator ---------------------------
+//
+// The pre-execution search and the rf/mo candidate construction, pinned per
+// catalogue program. Regenerate from the same enumerate_valid_executions
+// calls on a deliberate behaviour change and review the diff row by row.
+
+struct EnumerateGoldenRow {
+  const char* program;
+  std::size_t pre_executions, candidates, valid;
+};
+
+constexpr EnumerateGoldenRow kEnumerateGolden[] = {
+    // program, pre_executions, candidates, valid
+    {"SB", 4, 4, 4},
+    {"SB_ra", 4, 4, 4},
+    {"MP", 9, 4, 4},
+    {"MP_ra", 9, 4, 3},
+    {"MP_rel_rlx", 9, 4, 4},
+    {"MP_rlx_acq", 9, 4, 4},
+    {"MP_swap", 27, 4, 3},
+    {"LB", 4, 4, 3},
+    {"CoWW", 9, 18, 6},
+    {"CoRR2", 81, 162, 72},
+    {"IRIW_ra", 16, 16, 16},
+    {"W2+2W", 1, 4, 4},
+    {"SwapAtomicity", 9, 8, 2},
+    {"WRC_ra", 8, 8, 7},
+    {"S", 3, 4, 3},
+    {"CoRW1", 2, 2, 1},
+    {"CoWR", 3, 6, 3},
+    {"ISA2", 8, 8, 7},
+    {"SB_rmw", 16, 4, 4},
+    {"W2+2W_ra", 1, 4, 4},
+    {"WRC_rlx", 8, 8, 8},
+};
+
+TEST(GoldenCounters, CandidateEnumerationMatchesPinnedTable) {
+  std::size_t checked = 0;
+  for (const auto& test : litmus::catalog()) {
+    const EnumerateGoldenRow* row = nullptr;
+    for (const EnumerateGoldenRow& g : kEnumerateGolden) {
+      if (test.name == g.program) row = &g;
+    }
+    ASSERT_NE(row, nullptr) << test.name;
+    const ValidExecutions v =
+        enumerate_valid_executions(lang::parse_litmus(test.source).program);
+    EXPECT_EQ(v.stats.pre_executions, row->pre_executions) << test.name;
+    EXPECT_EQ(v.stats.candidates, row->candidates) << test.name;
+    EXPECT_EQ(v.stats.valid, row->valid) << test.name;
+    EXPECT_FALSE(v.stats.truncated) << test.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, std::size(kEnumerateGolden));
+}
+
 }  // namespace
 }  // namespace rc11::axiomatic

@@ -28,7 +28,9 @@
 //   * check_invariant downgrades every DPOR mode to the state-preserving
 //     sleep-set mode;
 //   * every deterministic counter of the sequential tree engines matches
-//     a pinned golden table over the catalogue and the RMW family.
+//     a pinned golden table over the catalogue and the RMW family, and the
+//     race check's verdict, race, trace length and counters under the
+//     full and sleep-set modes match a second one.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -825,6 +827,120 @@ TEST(GoldenCounters, TreeEnginesMatchPinnedTable) {
     }
   }
   EXPECT_EQ(checked, std::size(kGolden));
+}
+
+// --- Exact-counter golden table for the race check ----------------------------
+//
+// check_race_free observes every transition (Visitor::on_transition), so it
+// pins the stateful explorer's transition-observing path: the verdict, the
+// reported race, the trace length and the deterministic counters of the
+// sequential full and sleep-set runs over the catalogue plus the
+// racy/raceless table. Regenerate it from the same check_race_free calls
+// on a deliberate behaviour change and review the diff row by row.
+
+struct RaceGoldenRow {
+  const char* program;
+  const char* mode;
+  bool race_free;
+  const char* race;
+  std::size_t trace_len, states, transitions, merged, por_pruned, finals,
+      max_depth;
+};
+
+// clang-format off
+constexpr RaceGoldenRow kRaceGolden[] = {
+    // program, mode, race_free, race, trace_len, states, transitions,
+    // merged, por_pruned, finals, max_depth
+    {"SB", "none", true, "", 0, 45, 76, 32, 0, 4, 9},
+    {"SB", "sleep", true, "", 0, 45, 57, 8, 30, 4, 9},
+    {"SB_ra", "none", true, "", 0, 45, 76, 32, 0, 4, 9},
+    {"SB_ra", "sleep", true, "", 0, 45, 57, 8, 30, 4, 9},
+    {"MP", "none", true, "", 0, 37, 55, 19, 0, 4, 9},
+    {"MP", "sleep", true, "", 0, 37, 42, 4, 17, 4, 9},
+    {"MP_ra", "none", true, "", 0, 35, 53, 19, 0, 3, 9},
+    {"MP_ra", "sleep", true, "", 0, 35, 40, 4, 17, 3, 9},
+    {"MP_rel_rlx", "none", true, "", 0, 37, 55, 19, 0, 4, 9},
+    {"MP_rel_rlx", "sleep", true, "", 0, 37, 42, 4, 17, 4, 9},
+    {"MP_rlx_acq", "none", true, "", 0, 37, 55, 19, 0, 4, 9},
+    {"MP_rlx_acq", "sleep", true, "", 0, 37, 42, 4, 17, 4, 9},
+    {"MP_swap", "none", true, "", 0, 35, 53, 19, 0, 3, 9},
+    {"MP_swap", "sleep", true, "", 0, 35, 40, 4, 17, 3, 9},
+    {"LB", "none", true, "", 0, 33, 48, 16, 0, 3, 9},
+    {"LB", "sleep", true, "", 0, 33, 37, 2, 14, 3, 9},
+    {"CoWW", "none", true, "", 0, 54, 82, 29, 0, 6, 9},
+    {"CoWW", "sleep", true, "", 0, 54, 64, 9, 22, 6, 9},
+    {"CoRR2", "none", true, "", 0, 1342, 3280, 1939, 0, 72, 13},
+    {"CoRR2", "sleep", true, "", 0, 1342, 2411, 774, 1629, 72, 13},
+    {"IRIW_ra", "none", true, "", 0, 437, 1042, 606, 0, 16, 13},
+    {"IRIW_ra", "sleep", true, "", 0, 437, 572, 96, 572, 16, 13},
+    {"W2+2W", "none", true, "", 0, 23, 38, 16, 0, 4, 7},
+    {"W2+2W", "sleep", true, "", 0, 23, 32, 6, 12, 4, 7},
+    {"SwapAtomicity", "none", true, "", 0, 5, 4, 0, 0, 2, 3},
+    {"SwapAtomicity", "sleep", true, "", 0, 5, 4, 0, 0, 2, 3},
+    {"WRC_ra", "none", true, "", 0, 119, 228, 110, 0, 7, 11},
+    {"WRC_ra", "sleep", true, "", 0, 119, 143, 18, 100, 7, 11},
+    {"S", "none", true, "", 0, 27, 41, 15, 0, 3, 8},
+    {"S", "sleep", true, "", 0, 27, 33, 3, 12, 3, 8},
+    {"CoRW1", "none", true, "", 0, 5, 4, 0, 0, 1, 5},
+    {"CoRW1", "sleep", true, "", 0, 5, 4, 0, 0, 1, 5},
+    {"CoWR", "none", true, "", 0, 16, 23, 8, 0, 3, 6},
+    {"CoWR", "sleep", true, "", 0, 16, 23, 4, 4, 3, 6},
+    {"ISA2", "none", true, "", 0, 213, 470, 258, 0, 7, 13},
+    {"ISA2", "sleep", true, "", 0, 213, 263, 32, 254, 7, 13},
+    {"SB_rmw", "none", true, "", 0, 45, 76, 32, 0, 4, 9},
+    {"SB_rmw", "sleep", true, "", 0, 45, 57, 8, 30, 4, 9},
+    {"W2+2W_ra", "none", true, "", 0, 23, 38, 16, 0, 4, 7},
+    {"W2+2W_ra", "sleep", true, "", 0, 23, 32, 6, 12, 4, 7},
+    {"WRC_rlx", "none", true, "", 0, 121, 230, 110, 0, 8, 11},
+    {"WRC_rlx", "sleep", true, "", 0, 121, 145, 18, 100, 8, 11},
+    {"na_race", "none", false, "data race between e1:wrNA(d, 1)@1 and e2:rdNA(d, 0)@2", 2, 2, 2, 0, 0, 0, 2},
+    {"na_race", "sleep", false, "data race between e1:wrNA(d, 1)@1 and e2:rdNA(d, 0)@2", 2, 2, 2, 0, 0, 0, 2},
+    {"na_mp_ra_guarded", "none", true, "", 0, 26, 37, 12, 0, 2, 10},
+    {"na_mp_ra_guarded", "sleep", true, "", 0, 26, 26, 1, 11, 2, 10},
+    {"na_mp_rlx_races", "none", false, "data race between e2:wrNA(d, 5)@1 and e5:rdNA(d, 0)@2", 8, 12, 12, 0, 0, 1, 8},
+    {"na_mp_rlx_races", "sleep", false, "data race between e2:wrNA(d, 5)@1 and e5:rdNA(d, 0)@2", 8, 12, 12, 0, 0, 1, 8},
+    {"na_disjoint_vars", "none", true, "", 0, 4, 4, 1, 0, 1, 3},
+    {"na_disjoint_vars", "sleep", true, "", 0, 4, 3, 0, 1, 1, 3},
+    {"atomic_contention", "none", true, "", 0, 80, 158, 79, 0, 12, 7},
+    {"atomic_contention", "sleep", true, "", 0, 80, 123, 40, 47, 12, 7},
+    {"na_ww_race", "none", false, "data race between e1:wrNA(x, 1)@1 and e2:wrNA(x, 2)@2", 2, 2, 2, 0, 0, 0, 2},
+    {"na_ww_race", "sleep", false, "data race between e1:wrNA(x, 1)@1 and e2:wrNA(x, 2)@2", 2, 2, 2, 0, 0, 0, 2},
+};
+// clang-format on
+
+TEST(GoldenCounters, RaceCheckMatchesPinnedTable) {
+  std::vector<std::pair<std::string, lang::Program>> programs;
+  for (const auto& test : litmus::catalog()) {
+    programs.emplace_back(test.name, lang::parse_litmus(test.source).program);
+  }
+  for (auto& entry : race_table()) {
+    programs.emplace_back(entry.name, std::move(entry.program));
+  }
+  std::size_t checked = 0;
+  for (const auto& [name, program] : programs) {
+    for (PorMode por : {PorMode::kNone, PorMode::kSleepSets}) {
+      const RaceGoldenRow* row = nullptr;
+      for (const RaceGoldenRow& g : kRaceGolden) {
+        if (name == g.program && std::string(por_mode_name(por)) == g.mode) {
+          row = &g;
+        }
+      }
+      const std::string where = name + " under " + por_mode_name(por);
+      ASSERT_NE(row, nullptr) << where;
+      const RaceResult r = check_race_free(program, seq_options(por));
+      EXPECT_EQ(r.race_free, row->race_free) << where;
+      EXPECT_EQ(r.race, row->race) << where;
+      EXPECT_EQ(r.trace.size(), row->trace_len) << where;
+      EXPECT_EQ(r.stats.states, row->states) << where;
+      EXPECT_EQ(r.stats.transitions, row->transitions) << where;
+      EXPECT_EQ(r.stats.merged, row->merged) << where;
+      EXPECT_EQ(r.stats.por_pruned, row->por_pruned) << where;
+      EXPECT_EQ(r.stats.finals, row->finals) << where;
+      EXPECT_EQ(r.stats.max_depth, row->max_depth) << where;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kRaceGolden));
 }
 
 TEST(DporReduction, ConflictingWritersStillCoverAllFinals) {

@@ -11,6 +11,7 @@
 #include "mc/explorer.hpp"
 #include "vcgen/assertions.hpp"
 #include "vcgen/invariant.hpp"
+#include "vcgen/peterson.hpp"
 #include "vcgen/rules.hpp"
 
 namespace rc11::vcgen {
@@ -202,6 +203,34 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Pinned rule-sweep counters on the paper's case study: the sweep observes
+// every reachable transition, so a change in how the explorer hands
+// transitions to the visitor shows here first. Regenerate from the same
+// check_rule_soundness calls on a deliberate behaviour change.
+struct RuleSweepRow {
+  int loop_bound;
+  std::size_t transitions, applicable, unsound;
+};
+
+constexpr RuleSweepRow kPetersonRuleSweep[] = {
+    // loop_bound, transitions, applicable, unsound
+    {0, 20, 125, 0},
+    {1, 232, 1403, 0},
+    {2, 570, 3493, 0},
+    {3, 1076, 6631, 0},
+};
+
+TEST(GoldenCounters, PetersonRuleSweepMatchesPinnedTable) {
+  const lang::Program peterson = make_peterson();
+  for (const RuleSweepRow& row : kPetersonRuleSweep) {
+    const RuleSoundnessResult r =
+        check_rule_soundness(peterson, bounded(row.loop_bound));
+    EXPECT_EQ(r.transitions, row.transitions) << "loop_bound=" << row.loop_bound;
+    EXPECT_EQ(r.applicable, row.applicable) << "loop_bound=" << row.loop_bound;
+    EXPECT_EQ(r.unsound, row.unsound) << "loop_bound=" << row.loop_bound;
+  }
+}
 
 // --- Example 5.7: message passing -----------------------------------------------------
 
