@@ -3,7 +3,9 @@
 // path of validity checking and observability (DESIGN.md section 3).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include "rc11/rc11.hpp"
 
@@ -196,6 +198,64 @@ void restrict_compose_sparse(benchmark::State& state) {
   restrict_compose_rows(state, 0);
 }
 BENCHMARK(restrict_compose_sparse)->RangeMultiplier(4)->Range(64, 4096);
+
+// --- Push/pop on one deep spine -----------------------------------------------
+//
+// The incremental engine grows and shrinks an execution one event at a
+// time (Execution::push_event / pop_event). push_pop_depth/N drives one
+// spine of Peterson's rounds program to N events, then times a single
+// push/pop pair on top of it. Rows keep their own width and a pop clears
+// only the popped event's bits, so a pair costs O(neighbourhood of the
+// event), not O(N) row resizes. The neighbourhood itself grows with N
+// here — hb and eco are transitive, so the new event's hb/eco columns
+// hold most earlier events — which sets the slope that remains. Pinned
+// dense and forced-sparse like the closure series; `pairs` (rf + mo pairs
+// of the spine) is deterministic and gated as a drift tripwire.
+
+void push_pop_rows(benchmark::State& state, std::size_t threshold) {
+  const ThresholdGuard guard(threshold);
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  // Unbounded loops; a seeded random choice lets both threads make rounds,
+  // so the spine carries writes and long mo rows, not only spinning reads.
+  const interp::StepOptions opts;
+  interp::Config c = interp::initial_config(vcgen::make_peterson_rounds(400));
+  std::mt19937 rng(7);
+  std::vector<interp::Step> steps;
+  std::vector<interp::StepUndo> undos;
+  auto top = steps.end();  // the visible step pushed and popped on top
+  while (true) {
+    interp::enumerate_steps(c, opts, steps);
+    top = std::find_if(steps.begin(), steps.end(),
+                       [](const interp::Step& s) { return !s.silent; });
+    if (steps.empty() || (c.exec.size() >= depth && top != steps.end())) {
+      break;
+    }
+    undos.emplace_back();
+    interp::apply_step(c, steps[rng() % steps.size()], opts, undos.back());
+  }
+  if (top == steps.end()) {
+    state.SkipWithError("spine ended before the requested depth");
+    return;
+  }
+  c11::Execution::UndoToken tok;
+  for (auto _ : state) {
+    c.exec.push_event(top->thread, top->action, top->observed, tok);
+    c.exec.pop_event(tok);
+  }
+  state.counters["events"] = static_cast<double>(c.exec.size());
+  state.counters["pairs"] = static_cast<double>(c.exec.rf().pair_count() +
+                                                c.exec.mo().pair_count());
+}
+
+void push_pop_depth(benchmark::State& state) {
+  push_pop_rows(state, ~std::size_t{0} >> 1);
+}
+BENCHMARK(push_pop_depth)->Arg(64)->Arg(256)->Arg(1024);
+
+void push_pop_depth_sparse(benchmark::State& state) {
+  push_pop_rows(state, 0);
+}
+BENCHMARK(push_pop_depth_sparse)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 

@@ -39,6 +39,7 @@ CompletenessResult check_completeness(const lang::Program& program,
   result.operational_count = operational.size();
   result.axiomatic_count = axiomatic.keys.size();
   result.enumerate_stats = axiomatic.stats;
+  result.truncated = axiomatic.stats.truncated;
 
   std::vector<util::Fingerprint> only_op, only_ax;
   std::set_difference(operational.begin(), operational.end(),

@@ -43,8 +43,13 @@ struct CompletenessResult {
   /// empty when equivalent).
   std::vector<std::string> only_operational;
   std::vector<std::string> only_axiomatic;
+  /// The axiomatic enumeration hit a cap (enumerate_stats.truncated): its
+  /// key set is partial, so agreement of the two sets proves nothing.
+  bool truncated = false;
 
-  [[nodiscard]] bool equivalent() const { return complete && sound; }
+  [[nodiscard]] bool equivalent() const {
+    return complete && sound && !truncated;
+  }
 };
 
 /// Theorem 4.8 (+ 4.4 for the converse): operational and axiomatic final

@@ -24,8 +24,8 @@ EventId Execution::append_event_core(ThreadId tid, const Action& a) {
   events_.push_back(Event{e, tid, a});
 
   const std::size_t n = events_.size();
-  rf_.resize(n);
-  mo_.resize(n);
+  rf_.push_back();
+  mo_.push_back();
   inits_.resize(n);
   writes_.resize(n);
   reads_.resize(n);
@@ -342,8 +342,8 @@ FactHash event_fact(std::uint64_t cid, const Action& a) {
 
 /// Thread-local scratch sets so push_event allocates nothing once warm.
 struct Scratch {
-  util::Bitset before, after, readers, preds, hbcol, din, ecocol, ecorow,
-      ecohb, new_ew, reach, reach_hb;
+  util::Bitset before, after, readers, hbcol, din, ecocol, ecorow, ecohb,
+      new_ew, reach, reach_hb;
 };
 
 Scratch& scratch() {
@@ -562,14 +562,16 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
     // New fr in-edges: every read of a write mo-before e reads-before e.
     s.before.for_each([&](std::size_t p) { s.readers |= rf_.row(p); });
   }
-  s.preds.resize(n_old);
-  s.preds.clear();
-  if (tid < c.thread_events.size()) s.preds |= c.thread_events[tid];
-  if (!c.thread_events.empty()) s.preds |= c.thread_events[0];
+  // The acting thread's last event, if it has acted.
+  EventId last = kNoEvent;
+  if (tid < c.thread_events.size()) {
+    const std::size_t l = c.thread_events[tid].last();
+    if (l < n_old) last = static_cast<EventId>(l);
+  }
 
-  // Canonical id: position of e within its thread (pre-append count).
+  // Canonical id: position of e within its thread, one past its last event.
   const std::uint64_t seq =
-      tid < c.thread_events.size() ? c.thread_events[tid].count() : 0;
+      last == kNoEvent ? 0 : (c.cid[last] & 0xffffffffu) + 1;
   const std::uint64_t cid_e = (static_cast<std::uint64_t>(tid) << 32) | seq;
 
   // --- Core append + primitive edges --------------------------------------
@@ -602,9 +604,9 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   tok.fp_delta_a = da;
   tok.fp_delta_b = db;
 
-  // --- Resize the cached state to the new universe -------------------------
-  c.hb.resize(n);
-  c.eco.resize(n);
+  // --- Grow the cached state to the new universe ----------------------------
+  c.hb.push_back();
+  c.eco.push_back();
   const std::size_t threads = static_cast<std::size_t>(max_thread_) + 1;
   if (c.thread_events.size() < threads) {
     c.thread_events.resize(threads, util::Bitset(n_old));
@@ -620,7 +622,6 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   s.before.resize(n);
   s.after.resize(n);
   s.readers.resize(n);
-  s.preds.resize(n);
 
   c.thread_events[tid].set(e);
   if (is_wr) c.var_writes[x].set(e);
@@ -639,24 +640,30 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   // releasing) and every release fence sb-before w' (same thread, earlier
   // tag); their hb columns are frozen once pushed, so gathering them now is
   // order-independent.
+  //
+  // The sb part is one column: sb ⊆ hb and hb is transitive, so the
+  // thread's last event carries every earlier event of the thread and
+  // every thread-0 event in its hb column. A thread's first event takes
+  // the thread-0 events (the initialising writes) directly.
   s.hbcol.resize(n);
   s.hbcol.clear();
-  s.preds.for_each([&](std::size_t p) {
+  const auto add_hb_pred = [&](std::size_t p) {
     s.hbcol.set(p);
     s.hbcol |= c.hb.column_view(p);
-  });
+  };
+  if (last != kNoEvent) {
+    add_hb_pred(last);
+  } else {
+    c.thread_events[0].for_each(add_hb_pred);
+  }
   const auto gather_release_side = [&](EventId wsrc) {
     const Event& ws = events_[wsrc];
     if (ws.action.is_nonatomic()) return;  // NA accesses never synchronise
-    if (ws.is_release()) {
-      s.hbcol.set(wsrc);
-      s.hbcol |= c.hb.column_view(wsrc);
-    }
+    if (ws.is_release()) add_hb_pred(wsrc);
     fences_.for_each([&](std::size_t f) {
       if (f < wsrc && events_[f].tid == ws.tid &&
           events_[f].action.is_release_fence()) {
-        s.hbcol.set(f);
-        s.hbcol |= c.hb.column_view(f);
+        add_hb_pred(f);
       }
     });
   };
@@ -666,9 +673,10 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   if (is_fence && a.is_acquire_fence()) {
     // sw edges into the new acquire fence from the release side of every
     // atomic read sb-before it in its thread.
-    s.preds.for_each([&](std::size_t r) {
+    c.thread_events[tid].for_each([&](std::size_t r) {
+      if (r == e) return;
       const Event& er = events_[r];
-      if (er.tid != tid || !er.is_read() || er.action.is_nonatomic()) return;
+      if (!er.is_read() || er.action.is_nonatomic()) return;
       const EventId wsrc = rf_source(static_cast<EventId>(r));
       if (wsrc != kNoEvent) gather_release_side(wsrc);
     });
@@ -707,10 +715,16 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
 
   // --- Encountered writes --------------------------------------------------
   // EW(tid) gains every write w' with (w', e) in eco?;hb?: the midpoint m
-  // is e itself or an hb-predecessor of e.
+  // is e itself or an hb-predecessor of e. Midpoints hb?-before the
+  // thread's last event are skipped: their eco?-predecessors are already
+  // in EW(tid), and appending e adds no eco pair between old events (only
+  // e itself can join an old column, and e is added directly).
   s.ecohb = s.ecocol;
   s.ecohb.set(e);
+  const util::Bitset* seen_hb =
+      last == kNoEvent ? nullptr : &c.hb.column_view(last);
   s.hbcol.for_each([&](std::size_t m) {
+    if (m == last || (seen_hb != nullptr && seen_hb->test(m))) return;
     s.ecohb.set(m);
     s.ecohb |= c.eco.column_view(m);
   });
@@ -742,28 +756,39 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
 void Execution::pop_event(const UndoToken& tok) {
   assert(cache_.valid);
   Cache& c = cache_;
-  const std::size_t n = events_.size();
-  assert(n > 0 && tok.event == n - 1);
-  const std::size_t n_new = n - 1;
+  const EventId e = tok.event;
+  assert(!events_.empty() && e == events_.size() - 1);
+  const std::size_t n_new = e;
+  const Action& a = events_[e].action;
 
-  bump_var_versions(events_[tok.event].action);
+  bump_var_versions(a);
   c.fp_a -= tok.fp_delta_a;
   c.fp_b -= tok.fp_delta_b;
   if (tok.covered_added) c.covered.reset(tok.observed);
   c.encountered[tok.tid].subtract(tok.ew_delta);
 
+  // Clear the pairs into e: its rf source and its mo predecessors (which
+  // are among the writes on its variable). Pairs out of e leave with its
+  // row; hb and eco find theirs through their maintained inverses. No
+  // other row or column is touched.
+  if (a.is_read()) rf_.remove(tok.observed, e);
+  if (a.is_write()) {
+    c.var_writes[a.var].for_each(
+        [&](std::size_t p) { mo_.remove(static_cast<EventId>(p), e); });
+  }
+  rf_.pop_back();
+  mo_.pop_back();
+  c.hb.pop_back();
+  c.eco.pop_back();
+
   events_.pop_back();
   sb_stale_ = true;
-  rf_.resize(n_new);
-  mo_.resize(n_new);
   inits_.resize(n_new);
   writes_.resize(n_new);
   reads_.resize(n_new);
   updates_.resize(n_new);
   fences_.resize(n_new);
 
-  c.hb.resize(n_new);
-  c.eco.resize(n_new);
   c.thread_events.resize(tok.prev_thread_vec);
   c.encountered.resize(tok.prev_thread_vec);
   for (auto& b : c.thread_events) b.resize(n_new);

@@ -6,7 +6,9 @@
 //
 // Events are identified by dense indices (tags); relations are bitset
 // matrices over those indices. Executions only ever grow: the `(D, sb) + e`
-// operator appends the event and extends all relations by one row/column.
+// operator appends the event and extends the universe of every relation by
+// one element (an empty row; older rows keep their own width, see
+// util/relation.hpp).
 #pragma once
 
 #include <cstdint>
@@ -70,6 +72,9 @@ class Execution {
     if (sb_stale_) materialize_sb();
     return sb_;
   }
+  /// rf and mo over the universe size(). Their rows keep their own width
+  /// (util/relation.hpp): read them through the width-tolerant Bitset
+  /// kernels, which treat bits past a row's width as absent.
   [[nodiscard]] const util::Relation& rf() const { return rf_; }
   [[nodiscard]] const util::Relation& mo() const { return mo_; }
 
@@ -92,10 +97,13 @@ class Execution {
   // state — hb, eco (with maintained inverses), the per-thread encountered
   // sets, the covered set and the running fingerprint lanes — in time
   // proportional to the new event's neighbourhood instead of re-running
-  // the closures. pop_event undoes the append exactly (LIFO only): all
-  // added edges are incident to the popped event, so shrinking every
-  // relation and bitset by one element plus replaying the recorded deltas
-  // restores the previous state bit for bit.
+  // the closures. The sb part of e's hb column is one column: that of the
+  // thread's last event (sb ⊆ hb, hb transitive). pop_event undoes the
+  // append exactly (LIFO only): all added edges are incident to the popped
+  // event, so clearing its bits where they live — found through the hb/eco
+  // inverses, its rf source and its variable's writes — dropping its row
+  // and column, and replaying the recorded deltas restores the previous
+  // state bit for bit. Neither direction touches any other relation row.
   //
   // The from-scratch functions (compute_derived, encountered_writes,
   // covered_writes, fingerprint_uncached) remain the oracle; the

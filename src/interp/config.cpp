@@ -343,10 +343,16 @@ ThreadEnumClass enumerate_thread_steps(Config& c, ThreadId t,
   const util::Bitset& covered = ex.cached_covered();
   const util::Bitset& ew = ex.cached_encountered(t);
   const util::Bitset& wx = ex.cached_var_writes(pk.var);
+  // w is observable by t iff no mo-successor of w is encountered by t. The
+  // mo row keeps its own width (util/relation.hpp); disjoint() reads the
+  // bits past it as zero.
+  const auto observable = [&](std::size_t w) {
+    return ex.mo().row(w).disjoint(ew);
+  };
 
   if (pk.kind == lang::PeekKind::kRead) {
     wx.for_each([&](std::size_t w) {
-      if (!ex.mo().row(w).disjoint(ew)) return;  // not observable
+      if (!observable(w)) return;
       Step step;
       step.thread = t;
       step.silent = false;
@@ -364,7 +370,7 @@ ThreadEnumClass enumerate_thread_steps(Config& c, ThreadId t,
   if (pk.kind == lang::PeekKind::kWrite) {
     wx.for_each([&](std::size_t w) {
       if (covered.test(w)) return;  // covered writes take no successor
-      if (!ex.mo().row(w).disjoint(ew)) return;
+      if (!observable(w)) return;
       Step step;
       step.thread = t;
       step.silent = false;
@@ -381,7 +387,7 @@ ThreadEnumClass enumerate_thread_steps(Config& c, ThreadId t,
   assert(pk.kind == lang::PeekKind::kUpdate);
   wx.for_each([&](std::size_t w) {
     if (covered.test(w)) return;
-    if (!ex.mo().row(w).disjoint(ew)) return;
+    if (!observable(w)) return;
     Step step;
     step.thread = t;
     step.silent = false;

@@ -200,7 +200,7 @@ Bitset& Bitset::sp_and(const Bitset& o) {
     }
   } else {
     const std::uint64_t* s = o.data();
-    for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t i = 0; i < a.size() && a[i].idx < o.nwords_; ++i) {
       const std::uint64_t word = a[i].word & s[a[i].idx];
       if (word != 0) a[w++] = {a[i].idx, word};
     }
@@ -257,7 +257,10 @@ Bitset& Bitset::sp_xor(const Bitset& o) {
 Bitset& Bitset::sp_subtract(const Bitset& o) {
   if (!is_sparse()) {  // dense -= sparse
     std::uint64_t* d = data();
-    for (const Chunk& c : *o.store_.sparse) d[c.idx] &= ~c.word;
+    for (const Chunk& c : *o.store_.sparse) {
+      if (c.idx >= nwords_) break;
+      d[c.idx] &= ~c.word;
+    }
     return *this;
   }
   // Difference only removes bits from the destination: in-place filter.
@@ -275,7 +278,8 @@ Bitset& Bitset::sp_subtract(const Bitset& o) {
   } else {
     const std::uint64_t* s = o.data();
     for (std::size_t i = 0; i < a.size(); ++i) {
-      const std::uint64_t word = a[i].word & ~s[a[i].idx];
+      const std::uint64_t word =
+          a[i].idx < o.nwords_ ? a[i].word & ~s[a[i].idx] : a[i].word;
       if (word != 0) a[w++] = {a[i].idx, word};
     }
   }
@@ -324,6 +328,7 @@ bool Bitset::sp_disjoint(const Bitset& o) const {
   const Bitset& dn = is_sparse() ? o : *this;
   const std::uint64_t* d = dn.data();
   for (const Chunk& c : *sp.store_.sparse) {
+    if (c.idx >= dn.nwords_) break;
     if ((d[c.idx] & c.word) != 0) return false;
   }
   return true;
@@ -340,7 +345,8 @@ bool Bitset::sp_subset_of(const Bitset& o) const {
                   const auto it = chunk_at(b, c.idx);
                   return (it != b.end() && it->idx == c.idx) ? it->word : 0;
                 }()
-              : o.data()[c.idx];
+          : c.idx < o.nwords_ ? o.data()[c.idx]
+                              : 0;
       if ((c.word & ~cover) != 0) return false;
     }
     return true;
@@ -429,8 +435,25 @@ std::vector<std::size_t> Bitset::elements() const {
   return out;
 }
 
+std::size_t Bitset::last() const {
+  if (is_sparse()) {
+    const std::vector<Chunk>& chunks = *store_.sparse;
+    if (chunks.empty()) return size_;
+    return chunks.back().idx * std::size_t{64} + 63 -
+           static_cast<std::size_t>(__builtin_clzll(chunks.back().word));
+  }
+  const std::uint64_t* d = data();
+  for (std::uint32_t k = nwords_; k-- > 0;) {
+    if (d[k] != 0) {
+      return k * std::size_t{64} + 63 -
+             static_cast<std::size_t>(__builtin_clzll(d[k]));
+    }
+  }
+  return size_;
+}
+
 std::size_t Bitset::hash() const {
-  std::size_t h = 1469598103934665603ull ^ size_;
+  std::size_t h = 1469598103934665603ull;
   const auto mix = [&h](std::size_t k, std::uint64_t w) {
     h ^= k * 0x9e3779b97f4a7c15ull;
     h *= 1099511628211ull;

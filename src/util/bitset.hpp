@@ -24,12 +24,19 @@
 // All observable behavior (membership, iteration order, equality, hash) is
 // representation-independent.
 //
-// All operations that combine two bitsets require equal size; this is
-// asserted in debug builds. Mixed-representation operands are handled
-// natively (no conversion). In dense form, words at index >= active count
-// are kept zero; in sparse form, stored words are nonzero and chunk
-// indices are strictly increasing — both invariants make equality and
-// hashing canonical.
+// size() is the set's *width*: every member is below it, and bits at or
+// past it read as zero (test() and reset() past the width are no-ops).
+// Operations combining two bitsets accept operands of different widths:
+// |= and ^= first widen the destination to the source's width when it is
+// narrower; &=, subtract and the predicates never change a width.
+// Equality and hash depend on the members only, never on the width — a
+// Relation row keeps its own width and widens only when a bit is written
+// past it (util/relation.hpp), so equal relations may hold rows of
+// different widths. Mixed-representation operands are handled natively
+// (no conversion). In dense form, words at index >= active count are kept
+// zero; in sparse form, stored words are nonzero and chunk indices are
+// strictly increasing — both invariants make equality and hashing
+// canonical.
 #pragma once
 
 #include <algorithm>
@@ -180,19 +187,8 @@ class Bitset {
     trim();
   }
 
-  /// Pre-allocates word storage for a universe of n elements without
-  /// changing the logical size. No-op for sparse sets and for targets past
-  /// the sparse threshold (growth to such sizes converts to sparse, so a
-  /// dense allocation would be wasted).
-  void reserve(std::size_t n) {
-    if (is_sparse()) return;
-    const std::size_t w = words_for(n);
-    if (w > sparse_threshold_words()) return;
-    if (w > cap_) set_capacity(w);
-  }
-
   [[nodiscard]] bool test(std::size_t i) const {
-    assert(i < size_);
+    if (i >= size_) return false;
     if (is_sparse()) return sp_test(i);
     return (data()[i >> 6] >> (i & 63)) & 1;
   }
@@ -206,8 +202,15 @@ class Bitset {
     data()[i >> 6] |= std::uint64_t{1} << (i & 63);
   }
 
+  /// Sets bit i, first widening the set to i + 1 when i is past its width
+  /// (storage grows geometrically, as in resize()).
+  void set_widening(std::size_t i) {
+    if (i >= size_) resize(i + 1);
+    set(i);
+  }
+
   void reset(std::size_t i) {
-    assert(i < size_);
+    if (i >= size_) return;
     if (is_sparse()) {
       sp_reset(i);
       return;
@@ -272,60 +275,65 @@ class Bitset {
   /// Index of the lowest set bit strictly greater than i, or size() if none.
   [[nodiscard]] std::size_t next(std::size_t i) const;
 
+  /// Index of the highest set bit, or size() if empty.
+  [[nodiscard]] std::size_t last() const;
+
   Bitset& operator|=(const Bitset& o) {
-    assert(size_ == o.size_);
+    if (o.size_ > size_) resize(o.size_);
     if (is_sparse() || o.is_sparse()) return sp_or(o);
     std::uint64_t* d = data();
     const std::uint64_t* s = o.data();
-    for (std::uint32_t k = 0; k < nwords_; ++k) d[k] |= s[k];
+    for (std::uint32_t k = 0; k < o.nwords_; ++k) d[k] |= s[k];
     return *this;
   }
 
   Bitset& operator&=(const Bitset& o) {
-    assert(size_ == o.size_);
     if (is_sparse() || o.is_sparse()) return sp_and(o);
     std::uint64_t* d = data();
     const std::uint64_t* s = o.data();
-    for (std::uint32_t k = 0; k < nwords_; ++k) d[k] &= s[k];
+    const std::uint32_t m = std::min(nwords_, o.nwords_);
+    for (std::uint32_t k = 0; k < m; ++k) d[k] &= s[k];
+    std::memset(d + m, 0, (nwords_ - m) * sizeof(std::uint64_t));
     return *this;
   }
 
   Bitset& operator^=(const Bitset& o) {
-    assert(size_ == o.size_);
+    if (o.size_ > size_) resize(o.size_);
     if (is_sparse() || o.is_sparse()) return sp_xor(o);
     std::uint64_t* d = data();
     const std::uint64_t* s = o.data();
-    for (std::uint32_t k = 0; k < nwords_; ++k) d[k] ^= s[k];
+    for (std::uint32_t k = 0; k < o.nwords_; ++k) d[k] ^= s[k];
     return *this;
   }
 
   /// Set difference: removes every element of o from this set.
   Bitset& subtract(const Bitset& o) {
-    assert(size_ == o.size_);
     if (is_sparse() || o.is_sparse()) return sp_subtract(o);
     std::uint64_t* d = data();
     const std::uint64_t* s = o.data();
-    for (std::uint32_t k = 0; k < nwords_; ++k) d[k] &= ~s[k];
+    const std::uint32_t m = std::min(nwords_, o.nwords_);
+    for (std::uint32_t k = 0; k < m; ++k) d[k] &= ~s[k];
     return *this;
   }
 
   friend Bitset operator|(Bitset a, const Bitset& b) { return a |= b; }
   friend Bitset operator&(Bitset a, const Bitset& b) { return a &= b; }
 
+  /// Same members (widths may differ).
   [[nodiscard]] bool operator==(const Bitset& o) const {
-    if (size_ != o.size_) return false;
     if (is_sparse() || o.is_sparse()) return sp_equal(o);
-    return std::memcmp(data(), o.data(), nwords_ * sizeof(std::uint64_t)) ==
-           0;
+    const std::uint32_t m = std::min(nwords_, o.nwords_);
+    return std::memcmp(data(), o.data(), m * sizeof(std::uint64_t)) == 0 &&
+           zero_from(m) && o.zero_from(m);
   }
 
   /// True iff this set and o share no element.
   [[nodiscard]] bool disjoint(const Bitset& o) const {
-    assert(size_ == o.size_);
     if (is_sparse() || o.is_sparse()) return sp_disjoint(o);
     const std::uint64_t* d = data();
     const std::uint64_t* s = o.data();
-    for (std::uint32_t k = 0; k < nwords_; ++k) {
+    const std::uint32_t m = std::min(nwords_, o.nwords_);
+    for (std::uint32_t k = 0; k < m; ++k) {
       if ((d[k] & s[k]) != 0) return false;
     }
     return true;
@@ -333,14 +341,14 @@ class Bitset {
 
   /// True iff every element of this set is in o.
   [[nodiscard]] bool subset_of(const Bitset& o) const {
-    assert(size_ == o.size_);
     if (is_sparse() || o.is_sparse()) return sp_subset_of(o);
     const std::uint64_t* d = data();
     const std::uint64_t* s = o.data();
-    for (std::uint32_t k = 0; k < nwords_; ++k) {
+    const std::uint32_t m = std::min(nwords_, o.nwords_);
+    for (std::uint32_t k = 0; k < m; ++k) {
       if ((d[k] & ~s[k]) != 0) return false;
     }
-    return true;
+    return zero_from(m);
   }
 
   /// Members in increasing order.
@@ -371,8 +379,8 @@ class Bitset {
     }
   }
 
-  /// FNV-style hash of the contents (size-sensitive). Only nonzero words
-  /// contribute, keyed by their index, so the value is independent of the
+  /// FNV-style hash of the members. Only nonzero words contribute, keyed
+  /// by their index, so the value is independent of the width and of the
   /// dense/sparse representation.
   [[nodiscard]] std::size_t hash() const;
 
@@ -405,6 +413,15 @@ class Bitset {
   [[nodiscard]] std::uint64_t* data() {
     assert(!is_sparse());
     return on_heap() ? store_.heap : store_.words;
+  }
+
+  /// True iff dense words k >= from are all zero.
+  [[nodiscard]] bool zero_from(std::uint32_t from) const {
+    const std::uint64_t* d = data();
+    for (std::uint32_t k = from; k < nwords_; ++k) {
+      if (d[k] != 0) return false;
+    }
+    return true;
   }
 
   void release_store() {

@@ -5,47 +5,26 @@
 
 namespace rc11::util {
 
-void Relation::resize(std::size_t n) {
-  if (n == n_) return;  // the no-op resize is a hot caller pattern
-  if (n > cap_) {
-    // Geometric capacity growth: one append used to reallocate every row;
-    // reserving ahead makes the append-one-element pattern amortized O(rows).
-    reserve(std::max<std::size_t>({n, 2 * cap_, 16}));
-  }
-  n_ = n;
-  for (auto& r : rows_) r.resize(n);
-  if (rows_.size() > n) {
-    rows_.resize(n);
-  } else {
-    while (rows_.size() < n) {
-      Bitset row(n);
-      row.reserve(cap_);
-      rows_.push_back(std::move(row));
-    }
-  }
-  if (inverse_) {
-    for (auto& c : cols_) c.resize(n);
-    if (cols_.size() > n) {
-      cols_.resize(n);
-    } else {
-      while (cols_.size() < n) {
-        Bitset col(n);
-        col.reserve(cap_);
-        cols_.push_back(std::move(col));
-      }
-    }
-  }
+void Relation::push_back() {
+  ++n_;
+  rows_.emplace_back();
+  if (inverse_) cols_.emplace_back();
 }
 
-void Relation::reserve(std::size_t cap) {
-  if (cap <= cap_) return;
-  cap_ = cap;
-  rows_.reserve(cap);
-  for (auto& r : rows_) r.reserve(cap);
+void Relation::pop_back() {
+  assert(n_ > 0);
+  const std::size_t e = n_ - 1;
   if (inverse_) {
-    cols_.reserve(cap);
-    for (auto& c : cols_) c.reserve(cap);
+    cols_[e].for_each([&](std::size_t a) { rows_[a].reset(e); });
+    rows_[e].for_each([&](std::size_t b) { cols_[b].reset(e); });
+    cols_.pop_back();
   }
+  // A pair left into e would reappear as a pair into the next element
+  // pushed at index e.
+  assert(std::none_of(rows_.begin(), rows_.end() - 1,
+                      [&](const Bitset& r) { return r.test(e); }));
+  rows_.pop_back();
+  --n_;
 }
 
 void Relation::enable_inverse() {
@@ -57,14 +36,17 @@ void Relation::enable_inverse() {
 void Relation::rebuild_inverse() {
   if (!inverse_) return;
   cols_.assign(n_, Bitset(n_));
-  for (auto& c : cols_) c.reserve(cap_);
   for (std::size_t a = 0; a < n_; ++a) {
     rows_[a].for_each([&](std::size_t b) { cols_[b].set(a); });
   }
 }
 
 Bitset Relation::column(std::size_t b) const {
-  if (inverse_) return cols_[b];
+  if (inverse_) {
+    Bitset out = cols_[b];
+    out.resize(n_);
+    return out;
+  }
   // O(n)-scan fallback — audited: no engine hot path lands here. The
   // incremental semantics keeps maintained inverses on hb/eco and reads
   // them through column_view(); mo predecessor queries scan only the
@@ -221,8 +203,8 @@ Relation Relation::reflexive_closure() const {
 
 void Relation::add_identity() {
   for (std::size_t a = 0; a < n_; ++a) {
-    rows_[a].set(a);
-    if (inverse_) cols_[a].set(a);
+    rows_[a].set_widening(a);
+    if (inverse_) cols_[a].set_widening(a);
   }
 }
 

@@ -4,6 +4,15 @@
 // the C11 semantics: sb, rf, mo and all derived relations (sw, hb, fr, eco)
 // are Relations, and validity checking reduces to closure / irreflexivity /
 // totality queries on them.
+//
+// size() is the universe. A row (and a maintained column) keeps its own
+// Bitset width, which need not match the universe: a row widens only when
+// a bit is written past it, and bits past a row's width read as zero —
+// every Bitset kernel is width-tolerant and row equality ignores widths.
+// That is what makes push_back/pop_back cost O(degree) instead of
+// touching every row: the incremental semantics grows and shrinks
+// executions one event at a time, and every edge it adds or undoes is
+// incident to that event.
 #pragma once
 
 #include <cassert>
@@ -27,24 +36,23 @@ class Relation {
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  /// Resizes the universe to n elements, preserving the pairs whose
-  /// endpoints survive. Growth reserves capacity geometrically (each row's
-  /// words plus the row vector itself), so the append-one-event pattern of
-  /// the incremental semantics engine does not reallocate every row on
-  /// every append; shrink keeps the storage for the next grow.
-  void resize(std::size_t n);
+  /// Grows the universe by one element with an empty row (and column).
+  /// No other row is touched.
+  void push_back();
 
-  /// Pre-allocates storage for a universe of `cap` elements (rows and, when
-  /// the inverse is maintained, columns) without changing the logical size.
-  void reserve(std::size_t cap);
+  /// Shrinks the universe by its last element e. With the inverse
+  /// maintained, the pairs incident to e are cleared here through e's row
+  /// and column — O(degree of e). Without it, the caller must already have
+  /// removed every pair into e (pairs out of e leave with its row).
+  void pop_back();
 
   [[nodiscard]] bool contains(std::size_t a, std::size_t b) const {
     return rows_[a].test(b);
   }
 
   void add(std::size_t a, std::size_t b) {
-    rows_[a].set(b);
-    if (inverse_) cols_[b].set(a);
+    rows_[a].set_widening(b);
+    if (inverse_) cols_[b].set_widening(a);
   }
   void remove(std::size_t a, std::size_t b) {
     rows_[a].reset(b);
@@ -55,7 +63,7 @@ class Relation {
   /// the same universe). With the inverse maintained, the mirror update is
   /// a single word-level union instead of one set() per predecessor.
   void add_to_column(std::size_t b, const Bitset& as) {
-    as.for_each([&](std::size_t a) { rows_[a].set(b); });
+    as.for_each([&](std::size_t a) { rows_[a].set_widening(b); });
     if (inverse_) cols_[b] |= as;
   }
 
@@ -63,33 +71,41 @@ class Relation {
   /// single word-level union.
   void add_to_row(std::size_t a, const Bitset& bs) {
     rows_[a] |= bs;
-    if (inverse_) bs.for_each([&](std::size_t b) { cols_[b].set(a); });
+    if (inverse_) {
+      bs.for_each([&](std::size_t b) { cols_[b].set_widening(a); });
+    }
   }
 
-  /// Row a: successors of a. The mutable overload bypasses inverse
-  /// maintenance and asserts it is off.
+  /// Row a: successors of a. Its width is its own (see the file comment):
+  /// read it through the width-tolerant Bitset kernels. The mutable
+  /// overload widens the row to the universe first, so callers may set
+  /// any bit below size(); it bypasses inverse maintenance and asserts it
+  /// is off.
   [[nodiscard]] const Bitset& row(std::size_t a) const { return rows_[a]; }
   [[nodiscard]] Bitset& row(std::size_t a) {
     assert(!inverse_);
+    if (rows_[a].size() < n_) rows_[a].resize(n_);
     return rows_[a];
   }
 
-  /// Column b: predecessors of b (O(n) scan, or a copy of the maintained
-  /// inverse row when enabled). Hot paths must enable_inverse() and use
-  /// column_view() instead — the scan form is for tests and cold
-  /// diagnostics only (see the audit note in relation.cpp).
+  /// Column b: predecessors of b, as a set of width size() (O(n) scan, or
+  /// a copy of the maintained inverse row when enabled). Hot paths must
+  /// enable_inverse() and use column_view() instead — the scan form is for
+  /// tests and cold diagnostics only (see the audit note in relation.cpp).
   [[nodiscard]] Bitset column(std::size_t b) const;
 
   // --- Maintained inverse ---------------------------------------------------
   //
   // With the inverse enabled the relation keeps a column mirror updated by
-  // add/remove/resize (bulk mutators rebuild it), so predecessor queries on
-  // the observability hot path are O(1) row accesses instead of O(n) scans.
+  // add/remove/push_back/pop_back (bulk mutators rebuild it), so
+  // predecessor queries on the observability hot path are O(1) row
+  // accesses instead of O(n) scans.
 
   void enable_inverse();
   [[nodiscard]] bool inverse_enabled() const { return inverse_; }
 
-  /// Column b as a view of the maintained mirror; requires enable_inverse().
+  /// Column b as a view of the maintained mirror (its own width, like a
+  /// row); requires enable_inverse().
   [[nodiscard]] const Bitset& column_view(std::size_t b) const {
     assert(inverse_);
     return cols_[b];
@@ -172,10 +188,12 @@ class Relation {
   /// without building the full closure (used for reachability queries).
   [[nodiscard]] Bitset reachable_from(std::size_t a) const;
 
+  /// Same universe and pairs; row widths do not matter.
   [[nodiscard]] bool operator==(const Relation& o) const {
     return n_ == o.n_ && rows_ == o.rows_;
   }
 
+  /// Hash of the universe size and pairs (independent of row widths).
   [[nodiscard]] std::size_t hash() const;
 
   /// Renders e.g. "{(0,1), (2,3)}".
@@ -185,7 +203,6 @@ class Relation {
   void rebuild_inverse();
 
   std::size_t n_ = 0;
-  std::size_t cap_ = 0;  ///< reserved universe size (geometric growth)
   bool inverse_ = false;
   std::vector<Bitset> rows_;
   std::vector<Bitset> cols_;  ///< column mirror, maintained when inverse_

@@ -83,6 +83,26 @@ TEST(Completeness, LbHasNoValidThinAirExecution) {
   EXPECT_GT(r.enumerate_stats.candidates, r.axiomatic_count);
 }
 
+TEST(Completeness, TruncatedEnumerationIsNeverEquivalent) {
+  // Capped at one pre-execution, the axiomatic side sees only part of the
+  // candidate space. On CoRW1 the partial key set still happens to match
+  // the operational one, so only the truncation flag stops equivalent()
+  // from vouching for an enumeration that never finished.
+  const auto prog =
+      lang::parse_litmus(litmus::find_test("CoRW1").source).program;
+  const CompletenessResult capped =
+      check_completeness(prog, {}, EnumerateOptions{.max_pre_executions = 1});
+  EXPECT_TRUE(capped.enumerate_stats.truncated);
+  EXPECT_TRUE(capped.truncated);
+  EXPECT_TRUE(capped.only_operational.empty());
+  EXPECT_TRUE(capped.only_axiomatic.empty());
+  EXPECT_FALSE(capped.equivalent());
+  // Uncapped, the same program is equivalent.
+  const CompletenessResult full = check_completeness(prog);
+  EXPECT_FALSE(full.truncated);
+  EXPECT_TRUE(full.equivalent());
+}
+
 TEST(Soundness, CountsEveryReachableState) {
   const auto prog =
       lang::parse_litmus(litmus::find_test("SB").source).program;

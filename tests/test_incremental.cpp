@@ -23,10 +23,15 @@
 //   * undo_step restores the previous canonical key / fingerprint and the
 //     caches still match the oracles (undo/redo sequences stay exact —
 //     each sibling subtree is an apply/undo cycle at its node).
+//
+// The tree walks stay under ~40 events, so one long apply/undo spine
+// (past 600 events) covers the heap-dense (> 128) and sparse (> 512)
+// relation rows under push/pop, with default and with forced-sparse rows.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -36,6 +41,7 @@
 #include "lang/generator.hpp"
 #include "lang/parser.hpp"
 #include "litmus/catalog.hpp"
+#include "vcgen/peterson.hpp"
 
 namespace rc11 {
 namespace {
@@ -303,6 +309,72 @@ thread 3 { r0 := y; }
   ASSERT_EQ(steps_of(steps, 2).size(), 1u);
   EXPECT_EQ(steps_of(steps, 2)[0].observed, init_x);
   EXPECT_EQ(steps_of(steps, 3).size(), 1u);
+}
+
+/// Pins the global sparse-row threshold for a scope.
+class ThresholdGuard {
+ public:
+  explicit ThresholdGuard(std::size_t words)
+      : saved_(util::Bitset::sparse_threshold_words()) {
+    util::Bitset::set_sparse_threshold_words(words);
+  }
+  ~ThresholdGuard() { util::Bitset::set_sparse_threshold_words(saved_); }
+  ThresholdGuard(const ThresholdGuard&) = delete;
+  ThresholdGuard& operator=(const ThresholdGuard&) = delete;
+
+ private:
+  std::size_t saved_;
+};
+
+/// Drives one apply/undo spine of Peterson's rounds program to kDepth
+/// events and back, checking the caches against the oracles every
+/// kCheckEvery events on the way down and again on the way up. Loops are
+/// unbounded, so every choice keeps adding events; a seeded random choice
+/// lets both threads make rounds (a fixed rotation leaves one spinning),
+/// so the spine carries hundreds of writes and long mo rows.
+void deep_spine(const std::string& tag) {
+  constexpr std::size_t kDepth = 640;
+  constexpr std::size_t kCheckEvery = 32;
+  const interp::StepOptions opts;
+  interp::Config c = interp::initial_config(vcgen::make_peterson_rounds(100));
+  const c11::Execution root = c.exec;
+  const util::Fingerprint root_fp = c.fingerprint();
+
+  std::mt19937 rng(7);
+  std::vector<interp::StepUndo> undos;
+  std::vector<interp::Step> steps;
+  std::size_t checked = c.exec.size();
+  const auto check_at_boundary = [&](const char* dir) {
+    const std::size_t n = c.exec.size();
+    if (n % kCheckEvery != 0 || n == checked) return;
+    checked = n;
+    check_cache(c, tag + " " + dir + " at " + std::to_string(n));
+  };
+  while (c.exec.size() < kDepth) {
+    interp::enumerate_steps(c, opts, steps);
+    ASSERT_FALSE(steps.empty()) << tag << " stuck at " << c.exec.size();
+    undos.emplace_back();
+    interp::apply_step(c, steps[rng() % steps.size()], opts, undos.back());
+    check_at_boundary("down");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  while (!undos.empty()) {
+    interp::undo_step(c, undos.back());
+    undos.pop_back();
+    check_at_boundary("up");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  ASSERT_EQ(c.exec.size(), root.size()) << tag;
+  ASSERT_TRUE(c.exec == root) << tag;
+  ASSERT_EQ(c.fingerprint(), root_fp) << tag;
+  ASSERT_EQ(c.exec.fingerprint(), root.fingerprint()) << tag;
+}
+
+TEST(Incremental, DeepSpineAgreesWithOracleDenseAndSparse) {
+  deep_spine("default rows");
+  if (::testing::Test::HasFatalFailure()) return;
+  const ThresholdGuard sparse(0);
+  deep_spine("forced sparse");
 }
 
 }  // namespace

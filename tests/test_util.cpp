@@ -285,13 +285,62 @@ TEST(Relation, RestrictToDropsOutsidePairs) {
   EXPECT_FALSE(rr.contains(1, 2));
 }
 
-TEST(Relation, ResizeKeepsPairs) {
+TEST(Relation, PushBackKeepsPairs) {
   Relation r(2);
   r.add(0, 1);
-  r.resize(5);
+  for (int i = 0; i < 3; ++i) r.push_back();
+  EXPECT_EQ(r.size(), 5u);
   EXPECT_TRUE(r.contains(0, 1));
+  EXPECT_FALSE(r.contains(1, 4));  // past row 1's width: reads as absent
   r.add(4, 0);
+  r.add(0, 4);  // widens row 0
   EXPECT_TRUE(r.contains(4, 0));
+  EXPECT_TRUE(r.contains(0, 4));
+}
+
+TEST(Relation, PopBackClearsPairsThroughTheInverse) {
+  Relation r(3);
+  r.enable_inverse();
+  r.push_back();
+  r.add(0, 3);
+  r.add(3, 1);
+  r.add(3, 3);
+  r.pop_back();
+  EXPECT_EQ(r.size(), 3u);
+  EXPECT_TRUE(r.empty());
+  EXPECT_TRUE(r.column_view(1).empty());
+  // Regrowing yields a fresh element: no pair survives the pop.
+  r.push_back();
+  EXPECT_FALSE(r.contains(0, 3));
+  EXPECT_EQ(r, Relation(4));
+  EXPECT_EQ(r.hash(), Relation(4).hash());
+}
+
+TEST(Bitset, WidthTolerantKernels) {
+  Bitset narrow(10);
+  narrow.set(3);
+  Bitset wide(300);
+  wide.set(3);
+  EXPECT_EQ(narrow, wide);  // equality and hash ignore the width
+  EXPECT_EQ(narrow.hash(), wide.hash());
+  EXPECT_FALSE(narrow.test(250));  // past the width reads as absent
+  wide.set(250);
+  EXPECT_FALSE(narrow == wide);
+  EXPECT_TRUE(narrow.subset_of(wide));
+  EXPECT_FALSE(wide.subset_of(narrow));
+  EXPECT_FALSE(narrow.disjoint(wide));
+  Bitset u = narrow;
+  u |= wide;  // widens the destination
+  EXPECT_EQ(u.size(), 300u);
+  EXPECT_EQ(u.elements(), (std::vector<std::size_t>{3, 250}));
+  Bitset i = wide;
+  i &= narrow;
+  EXPECT_EQ(i.elements(), (std::vector<std::size_t>{3}));
+  wide.subtract(narrow);
+  EXPECT_EQ(wide.elements(), (std::vector<std::size_t>{250}));
+  EXPECT_EQ(wide.last(), 250u);
+  narrow.set_widening(700);
+  EXPECT_EQ(narrow.elements(), (std::vector<std::size_t>{3, 700}));
 }
 
 TEST(Relation, ColumnCollectsPredecessors) {
